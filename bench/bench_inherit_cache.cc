@@ -1,15 +1,13 @@
 // Ablation: inheritance-resolution caching under deep transmitter chains and
-// mixed read/write workloads — no cache vs. the legacy whole-store
-// global-version stamp vs. fine-grained dependency validation.
+// mixed read/write workloads — no cache vs. fine-grained dependency
+// validation.
 //
 // The paper's immediacy guarantee ("any update of the original data is
 // instantly visible", section 2) makes inherited reads the hot path of every
 // composite-object workload, and a resolution cache is only admissible if it
-// never serves a stale view. The global stamp achieves that trivially — any
-// write anywhere invalidates everything — which under a mixed workload drives
-// the hit rate toward zero and makes the cache pure overhead. Fine-grained
-// entries depend only on the objects of their own transmitter chain, so
-// writes to unrelated chains evict nothing.
+// never serves a stale view. Fine-grained entries depend only on the objects
+// of their own transmitter chain, so writes to unrelated chains evict
+// nothing.
 //
 // Fixture: 64 independent chains of depth 2/4/8 (distinct types per level;
 // the type system forbids same-type cycles). Workloads pick a chain with a
@@ -17,11 +15,10 @@
 // operation updates a root), write-heavy (every 2nd operation updates a
 // root). The hit rate is reported as a counter.
 //
-// Expected shape: read-only — both cache modes collapse the O(depth) walk to
-// one probe; mixed 90/10 — global-stamp degenerates to miss-per-read (probe
-// overhead on top of the full walk) while fine-grained stays near its
-// read-only throughput; write-heavy — caching cannot pay off, measuring how
-// close the probe overhead is to zero.
+// Expected shape: read-only — the cache collapses the O(depth) walk to one
+// probe; mixed 90/10 — the cache stays near its read-only throughput;
+// write-heavy — caching cannot pay off, measuring how close the probe
+// overhead is to zero.
 
 #include <benchmark/benchmark.h>
 
@@ -102,13 +99,12 @@ struct ChainFleet {
 
 constexpr int kChains = 64;
 
-/// args: (chain depth, CacheMode as int). `write_period` = 0 means
+/// args: (chain depth, cache on as 0/1). `write_period` = 0 means
 /// read-only; N means every Nth operation is a root update.
 void RunWorkload(benchmark::State& state, int write_period) {
   const int depth = static_cast<int>(state.range(0));
-  const auto mode = static_cast<caddb::CacheMode>(state.range(1));
   ChainFleet fleet(depth, kChains);
-  fleet.manager.SetCacheMode(mode);
+  fleet.manager.EnableCache(state.range(1) != 0);
 
   uint64_t rng = 0x9e3779b97f4a7c15ull;
   int64_t tick = 0;
@@ -142,18 +138,14 @@ void BM_DeepChain_WriteHeavy(benchmark::State& state) {
   RunWorkload(state, 2);
 }
 
-constexpr int64_t kOff = static_cast<int64_t>(caddb::CacheMode::kOff);
-constexpr int64_t kGlobal = static_cast<int64_t>(caddb::CacheMode::kGlobalStamp);
-constexpr int64_t kFine = static_cast<int64_t>(caddb::CacheMode::kFineGrained);
-
 BENCHMARK(BM_DeepChain_ReadOnly)
-    ->ArgNames({"depth", "mode"})
-    ->ArgsProduct({{2, 4, 8}, {kOff, kGlobal, kFine}});
+    ->ArgNames({"depth", "cache"})
+    ->ArgsProduct({{2, 4, 8}, {0, 1}});
 BENCHMARK(BM_DeepChain_Mixed90_10)
-    ->ArgNames({"depth", "mode"})
-    ->ArgsProduct({{2, 4, 8}, {kOff, kGlobal, kFine}});
+    ->ArgNames({"depth", "cache"})
+    ->ArgsProduct({{2, 4, 8}, {0, 1}});
 BENCHMARK(BM_DeepChain_WriteHeavy)
-    ->ArgNames({"depth", "mode"})
-    ->ArgsProduct({{2, 4, 8}, {kOff, kGlobal, kFine}});
+    ->ArgNames({"depth", "cache"})
+    ->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 }  // namespace

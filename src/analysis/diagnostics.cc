@@ -115,9 +115,10 @@ const std::vector<DiagnosticCodeInfo>& CodeRegistry() {
       {"CAD313", "wal lsn discontinuity (in-segment regression or seam "
                  "gap/overlap)"},
       {"CAD314", "wal frame payload undecodable despite a valid checksum"},
-      {"CAD315", "checkpoint file damaged (header, crc, or name mismatch)"},
-      {"CAD316", "checkpoint body malformed (v3 structure or replay floor "
-                 "past the cover lsn)"},
+      {"CAD315", "checkpoint file unreadable (header, retired version, crc, "
+                 "or name mismatch)"},
+      {"CAD316", "checkpoint body malformed (structure or replay floor past "
+                 "the cover lsn)"},
       {"CAD317", "checkpoint page image invalid (size, parse, id, or lsn)"},
       {"CAD318", "checkpoint replay floor not covered by the retained "
                  "segments"},

@@ -79,8 +79,8 @@ struct VerifyPass {
   uint64_t checkpoints_scanned = 0;
   bool manifest_present = false;
 
-  /// Newest checkpoint that parses and CRC-verifies; lsn 0 / format 0 when
-  /// the directory has none (same convention as ReadNewestCheckpoint).
+  /// Newest checkpoint that parses and CRC-verifies; lsn 0 / empty path
+  /// when the directory has none (same convention as ReadNewestCheckpoint).
   wal::LoadedCheckpoint newest;
   /// Newest lsn the checkpoint lets the scan skip (recovery's replay_floor).
   uint64_t replay_floor = 0;
@@ -107,59 +107,50 @@ void AuditCheckpoints(VerifyPass* pass) {
     Result<wal::LoadedCheckpoint> loaded = wal::ReadCheckpointFile(info);
     if (!loaded.ok()) {
       // AtomicWriteFile makes checkpoint publication all-or-nothing, so a
-      // damaged file is bit rot or a partial copy, never crash debris —
-      // and recovery will skip it, possibly replaying from an older (or
-      // no) snapshot.
+      // damaged file is bit rot, a partial copy or a retired format version,
+      // never crash debris — and recovery will skip it, falling back to an
+      // older snapshot or refusing to open.
       Report(pass, "CAD315", Severity::kError, loaded.status().message(),
              name);
       continue;
     }
-    if (loaded->format == 3) {
-      if (loaded->replay_from > loaded->lsn) {
-        Report(pass, "CAD316", Severity::kError,
-               "replay floor " + std::to_string(loaded->replay_from) +
-                   " lies past the cover lsn " + std::to_string(loaded->lsn),
-               name);
+    if (loaded->replay_from > loaded->lsn) {
+      Report(pass, "CAD316", Severity::kError,
+             "replay floor " + std::to_string(loaded->replay_from) +
+                 " lies past the cover lsn " + std::to_string(loaded->lsn),
+             name);
+    }
+    for (const auto& [page_id, image] : loaded->pages) {
+      std::string where = name + " image of page " + std::to_string(page_id);
+      if (image.size() != storage::kPageSize) {
+        Report(pass, "CAD317", Severity::kError,
+               "page image is " + std::to_string(image.size()) +
+                   " bytes, want " + std::to_string(storage::kPageSize),
+               where);
+        continue;
       }
-      for (const auto& [page_id, image] : loaded->pages) {
-        std::string where =
-            name + " image of page " + std::to_string(page_id);
-        if (image.size() != storage::kPageSize) {
-          Report(pass, "CAD317", Severity::kError,
-                 "page image is " + std::to_string(image.size()) +
-                     " bytes, want " + std::to_string(storage::kPageSize),
-                 where);
-          continue;
-        }
-        Result<storage::Page::RawHeader> header =
-            storage::Page::PeekHeader(image);
-        if (storage::Page::IsAllZero(image)) continue;  // freed-page image
-        if (!header->crc_ok) {
-          Report(pass, "CAD317", Severity::kError,
-                 "page image fails its checksum", where);
-        } else if (header->stored_id != page_id) {
-          Report(pass, "CAD317", Severity::kError,
-                 "page image claims page id " +
-                     std::to_string(header->stored_id),
-                 where);
-        } else if (header->lsn > loaded->lsn) {
-          Report(pass, "CAD317", Severity::kError,
-                 "page image lsn " + std::to_string(header->lsn) +
-                     " is beyond the checkpoint's cover lsn " +
-                     std::to_string(loaded->lsn),
-                 where);
-        }
+      Result<storage::Page::RawHeader> header =
+          storage::Page::PeekHeader(image);
+      if (storage::Page::IsAllZero(image)) continue;  // freed-page image
+      if (!header->crc_ok) {
+        Report(pass, "CAD317", Severity::kError,
+               "page image fails its checksum", where);
+      } else if (header->stored_id != page_id) {
+        Report(pass, "CAD317", Severity::kError,
+               "page image claims page id " +
+                   std::to_string(header->stored_id),
+               where);
+      } else if (header->lsn > loaded->lsn) {
+        Report(pass, "CAD317", Severity::kError,
+               "page image lsn " + std::to_string(header->lsn) +
+                   " is beyond the checkpoint's cover lsn " +
+                   std::to_string(loaded->lsn),
+               where);
       }
     }
     pass->newest = std::move(*loaded);  // ascending order: last ok wins
   }
-  // Recovery's replay floor: a v3 checkpoint captured under an in-flight
-  // transaction must keep records from that transaction's begin lsn.
-  pass->replay_floor =
-      (pass->newest.format == 3 && pass->newest.replay_from != 0 &&
-       pass->newest.replay_from <= pass->newest.lsn)
-          ? pass->newest.replay_from - 1
-          : pass->newest.lsn;
+  pass->replay_floor = pass->newest.replay_floor();
 }
 
 // ---- Pass B: WAL segment chain ----

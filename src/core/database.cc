@@ -104,9 +104,9 @@ Result<std::unique_ptr<Database>> Database::Open(
   // a replication follower can spot a rewound primary.
   db->generation_ = db->recovery_report_.generation + 1;
   if (db->files_ == nullptr) {
-    // Fresh directory, or a v1/v2 (full-dump) checkpoint: nothing lives on
-    // pages yet. Open the page file and mark everything dirty so the
-    // checkpoint below migrates the whole store onto it.
+    // No checkpoint (fresh directory, or a log replayed without one):
+    // nothing lives on pages yet. Open the page file and mark everything
+    // dirty so the checkpoint below writes the whole store onto it.
     CADDB_RETURN_IF_ERROR(db->InitPagedStore(dir, {}, opts));
     db->store_.MarkAllDirty();
   }
@@ -264,7 +264,7 @@ Status Database::Checkpoint() {
   // checkpoint file (double-write journal): after this rename, every
   // in-place page write below is recoverable.
   if (staged.ok()) {
-    staged = wal::WriteCheckpointV3(wal_->dir(), lsn_cap, generation_, data);
+    staged = wal::WriteCheckpoint(wal_->dir(), lsn_cap, generation_, data);
   }
   if (!staged.ok()) {
     // The batch pages stay pinned and dirty in the pool; the restored set

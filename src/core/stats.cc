@@ -38,7 +38,7 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
     }
   }
   const InheritanceManager& inheritance = db.inheritance();
-  stats.cache_mode = CacheModeName(inheritance.cache_mode());
+  stats.cache_mode = inheritance.cache_enabled() ? "fine-grained" : "off";
   stats.cache_hits = inheritance.cache_hits();
   stats.cache_misses = inheritance.cache_misses();
   stats.cache_invalidations = inheritance.cache_invalidations();

@@ -25,18 +25,6 @@ InheritanceManager::InheritanceManager(ObjectStore* store,
       "Inherited read latency; recorded only while tracing is enabled");
 }
 
-const char* CacheModeName(CacheMode mode) {
-  switch (mode) {
-    case CacheMode::kOff:
-      return "off";
-    case CacheMode::kGlobalStamp:
-      return "global-stamp";
-    case CacheMode::kFineGrained:
-      return "fine-grained";
-  }
-  return "?";
-}
-
 Result<Surrogate> InheritanceManager::Bind(Surrogate inheritor,
                                            Surrogate transmitter,
                                            const std::string& inher_rel_type) {
@@ -89,9 +77,6 @@ Result<std::vector<Surrogate>> InheritanceManager::InheritorsOf(
 template <typename T>
 bool InheritanceManager::EntryValid(const CacheEntry<T>& entry) const {
   if (entry.schema_epoch != store_->catalog().schema_epoch()) return false;
-  if (cache_mode_ == CacheMode::kGlobalStamp) {
-    return entry.stamp == store_->global_version();
-  }
   for (const auto& [id, version] : entry.deps) {
     if (store_->ObjectVersion(Surrogate(id)) != version) return false;
   }
@@ -123,7 +108,6 @@ void InheritanceManager::FillChain(std::map<CacheKey, CacheEntry<T>>* cache,
                                    const std::vector<const DbObject*>& chain,
                                    bool terminal_is_local,
                                    const T& payload) const {
-  const uint64_t stamp = store_->global_version();
   const uint64_t epoch = store_->catalog().schema_epoch();
   // A terminal that resolved `item` as its own local data never consults the
   // cache on reads, so an entry keyed on it would be dead weight.
@@ -132,7 +116,6 @@ void InheritanceManager::FillChain(std::map<CacheKey, CacheEntry<T>>* cache,
   for (size_t i = 0; i < cached_nodes; ++i) {
     CacheEntry<T>& entry =
         (*cache)[CacheKey(chain[i]->surrogate().id, item)];
-    entry.stamp = stamp;
     entry.schema_epoch = epoch;
     entry.deps.clear();
     for (size_t j = i; j < chain.size(); ++j) {
@@ -167,7 +150,7 @@ Result<Value> InheritanceManager::GetAttribute(Surrogate s,
     return obj->LocalAttribute(name);
   }
 
-  if (cache_mode_ != CacheMode::kOff) {
+  if (cache_enabled_) {
     if (const Value* hit = Probe(&attr_cache_, CacheKey(s.id, name))) {
       return *hit;
     }
@@ -198,7 +181,7 @@ Result<Value> InheritanceManager::GetAttribute(Surrogate s,
         store_->catalog().FindEffectiveSchema(node->type_name()));
   }
 
-  if (cache_mode_ != CacheMode::kOff) {
+  if (cache_enabled_) {
     FillChain(&attr_cache_, name, chain, terminal_is_local, resolved);
   }
   return resolved;
@@ -243,7 +226,7 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
     return members == nullptr ? std::vector<Surrogate>{} : *members;
   }
 
-  if (cache_mode_ != CacheMode::kOff) {
+  if (cache_enabled_) {
     if (const std::vector<Surrogate>* hit =
             Probe(&subclass_cache_, CacheKey(s.id, name))) {
       return *hit;
@@ -274,7 +257,7 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
         store_->catalog().FindEffectiveSchema(node->type_name()));
   }
 
-  if (cache_mode_ != CacheMode::kOff) {
+  if (cache_enabled_) {
     FillChain(&subclass_cache_, name, chain, terminal_is_local, resolved);
   }
   return resolved;
@@ -429,16 +412,11 @@ std::vector<std::string> InheritanceManager::AuditCache() const {
   return out;
 }
 
-void InheritanceManager::SetCacheMode(CacheMode mode) {
-  if (mode == cache_mode_) return;
-  cache_mode_ = mode;
+void InheritanceManager::EnableCache(bool on) {
+  if (on == cache_enabled_) return;
+  cache_enabled_ = on;
   attr_cache_.clear();
   subclass_cache_.clear();
-}
-
-void InheritanceManager::EnableCache(bool on) {
-  if (on == cache_enabled()) return;
-  SetCacheMode(on ? CacheMode::kFineGrained : CacheMode::kOff);
 }
 
 void InheritanceManager::ResetCacheStats() {

@@ -14,22 +14,6 @@
 
 namespace caddb {
 
-/// Invalidation strategy of the inheritance-resolution cache.
-enum class CacheMode {
-  /// No memoization; every inherited read walks the transmitter chain.
-  kOff,
-  /// Legacy ablation baseline: entries are stamped with the store's global
-  /// version, so *any* write to *any* object invalidates the whole cache.
-  /// Kept only for benchmarking against the fine-grained scheme.
-  kGlobalStamp,
-  /// Entries record the full transmitter-chain dependency set as
-  /// (surrogate, per-object version) pairs and stay valid until one of
-  /// *those* objects mutates (or the catalog's schema epoch changes).
-  kFineGrained,
-};
-
-const char* CacheModeName(CacheMode mode);
-
 /// The value-inheritance engine — the paper's central mechanism (section 4).
 ///
 /// Reads of inherited attributes/subclasses resolve *through* the inheritance
@@ -40,11 +24,11 @@ const char* CacheModeName(CacheMode mode);
 /// records to every affected inheritance relationship, transitively, for the
 /// adaptation workflow.
 ///
-/// An optional memoization cache accelerates repeated inherited reads. In
-/// its default fine-grained mode every entry records the chain of objects
-/// the resolved value depends on, each with the per-object version observed
-/// while resolving; a probe revalidates only those versions, so writes to
-/// unrelated objects never evict anything. Attribute and subclass
+/// An optional memoization cache accelerates repeated inherited reads.
+/// Every entry records the chain of objects the resolved value depends on,
+/// each with the per-object version observed while resolving; a probe
+/// revalidates only those versions, so writes to unrelated objects never
+/// evict anything. Attribute and subclass
 /// resolutions are cached for every node of the walked chain (a leaf read
 /// warms the cache for the whole hierarchy above it).
 class InheritanceManager {
@@ -99,21 +83,17 @@ class InheritanceManager {
   Result<std::map<std::string, Value>> Snapshot(Surrogate s) const;
 
   // ---- Resolution cache (off by default) ----
-  /// Switches the invalidation strategy. Changing the mode drops all
-  /// entries (their validity metadata is mode-specific) but keeps the
-  /// counters; setting the current mode again is a no-op.
-  void SetCacheMode(CacheMode mode);
-  CacheMode cache_mode() const { return cache_mode_; }
-  /// Convenience toggle: on = kFineGrained, off = kOff. Idempotent —
-  /// enabling an already-enabled cache keeps entries and counters.
+  /// Switches the cache on or off. Switching drops all entries but keeps
+  /// the counters; setting the current state again is a no-op (entries
+  /// and counters survive).
   void EnableCache(bool on);
-  bool cache_enabled() const { return cache_mode_ != CacheMode::kOff; }
+  bool cache_enabled() const { return cache_enabled_; }
   /// Zeroes hit/miss/invalidation counters without touching the entries.
   void ResetCacheStats();
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
-  /// Probes that found an entry whose dependency set (or global stamp) was
-  /// out of date; the entry is evicted and the probe also counts as a miss.
+  /// Probes that found an entry whose dependency set was out of date; the
+  /// entry is evicted and the probe also counts as a miss.
   uint64_t cache_invalidations() const { return cache_invalidations_; }
   size_t cache_entries() const {
     return attr_cache_.size() + subclass_cache_.size();
@@ -133,13 +113,10 @@ class InheritanceManager {
  private:
   /// One memoized resolution. `deps` lists every object of the transmitter
   /// chain the payload was derived from, leaf-entry first, paired with the
-  /// per-object version observed during resolution (kFineGrained validity);
-  /// `stamp` is the store's global version at fill time (kGlobalStamp
-  /// validity); `schema_epoch` guards against DDL registrations changing
-  /// permeability after the fill (both modes).
+  /// per-object version observed during resolution; `schema_epoch` guards
+  /// against DDL registrations changing permeability after the fill.
   template <typename T>
   struct CacheEntry {
-    uint64_t stamp = 0;
     uint64_t schema_epoch = 0;
     std::vector<std::pair<uint64_t, uint64_t>> deps;
     T payload;
@@ -177,7 +154,7 @@ class InheritanceManager {
   ObjectStore* store_;
   NotificationCenter* notifications_;
 
-  CacheMode cache_mode_ = CacheMode::kOff;
+  bool cache_enabled_ = false;
   mutable std::map<CacheKey, CacheEntry<Value>> attr_cache_;
   mutable std::map<CacheKey, CacheEntry<std::vector<Surrogate>>>
       subclass_cache_;

@@ -60,9 +60,26 @@ double HistogramSnapshot::Percentile(double q) const {
     const uint64_t next = seen + counts[i];
     if (static_cast<double>(next) >= rank) {
       if (i >= bounds.size()) return static_cast<double>(bounds.back());
-      const double lo =
-          i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      const double hi = static_cast<double>(bounds[i]);
+      double lo = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
+      double hi = static_cast<double>(bounds[i]);
+      if (i == 0) {
+        // The first bucket is closed at both ends ([0, bounds[0]]), so
+        // interpolating over all of it puts a constant-1 distribution's
+        // median at 0.5. Narrow it to the span centred on the largest mean
+        // the recorded sum leaves for it, with every later observation at
+        // its bucket's integer floor: exact when the first bucket holds
+        // everything, never outside [0, bounds[0]].
+        double rest_floor = 0.0;
+        for (size_t j = 1; j < counts.size(); ++j) {
+          rest_floor += static_cast<double>(counts[j]) *
+                        static_cast<double>(bounds[j - 1] + 1);
+        }
+        const double mean = std::min(
+            hi, std::max(0.0, (static_cast<double>(sum) - rest_floor) /
+                                  static_cast<double>(counts[0])));
+        lo = std::max(0.0, 2.0 * mean - hi);
+        hi = std::min(hi, 2.0 * mean);
+      }
       const double within =
           (rank - static_cast<double>(seen)) / static_cast<double>(counts[i]);
       return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));

@@ -52,8 +52,9 @@ struct HistogramSnapshot {
   uint64_t sum = 0;
 
   /// Percentile estimate (q in [0,1]) by linear interpolation within the
-  /// containing bucket. 0 when empty; the last finite bound when the
-  /// quantile lands in the overflow bucket.
+  /// containing bucket (the first bucket narrowed around its mean, see
+  /// metrics.cc). 0 when empty; the last finite bound when the quantile
+  /// lands in the overflow bucket.
   double Percentile(double q) const;
 };
 

@@ -154,11 +154,6 @@ Result<std::string> Dumper::Dump(const Database& db) {
 }
 
 Status Dumper::Load(const std::string& dump, Database* db) {
-  return Load(dump, db, nullptr);
-}
-
-Status Dumper::Load(const std::string& dump, Database* db,
-                    std::map<uint64_t, uint64_t>* mapping_out) {
   if (db->store().size() != 0) {
     return FailedPrecondition("Load requires an empty database");
   }
@@ -382,7 +377,6 @@ Status Dumper::Load(const std::string& dump, Database* db,
     }();
     CADDB_RETURN_IF_ERROR(here(std::move(attr_status)));
   }
-  if (mapping_out != nullptr) *mapping_out = std::move(mapping);
   return OkStatus();
 }
 

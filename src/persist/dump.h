@@ -43,17 +43,9 @@ class Dumper {
   /// Every error Status is annotated with the 1-based dump line it was
   /// raised on ("dump line 17: ...").
   static Status Load(const std::string& dump, Database* db);
-
-  /// Load variant reporting the surrogate translation it performed:
-  /// `mapping_out` maps each surrogate id in the dump text to the id the
-  /// restored object received. WAL recovery seeds its replay mapping with
-  /// this, so log records written after the checkpoint (which reference the
-  /// dumping process's runtime ids) resolve against the restored store.
-  static Status Load(const std::string& dump, Database* db,
-                     std::map<uint64_t, uint64_t>* mapping_out);
 };
 
-/// Meta snapshot for incremental (v3) checkpoints: everything that does
+/// Meta snapshot for checkpoints: everything that does
 /// NOT live on pages — schema DDL, the class registry, the version
 /// manager's designs/version-graphs/generic-bindings, and the surrogate
 /// allocator position. Object/relationship/binding records and attribute

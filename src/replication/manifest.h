@@ -45,10 +45,9 @@ struct ManifestCheckpoint {
   uint32_t crc = 0;
 };
 
-/// The primary's page file (pages.db), shipped whole. Present only when the
-/// primary runs the paged store (incremental v3 checkpoints) — its object
-/// payloads live here, not in the checkpoint file, so a follower cannot
-/// replay without it. The shipper snapshots it under the primary's
+/// The primary's page file (pages.db), shipped whole whenever the primary's
+/// directory holds one — its object payloads live here, not in the
+/// checkpoint file, so a follower cannot replay without it. The shipper snapshots it under the primary's
 /// checkpoint pause so the (checkpoint, pagefile) pair is mutually
 /// consistent.
 struct ManifestPageFile {

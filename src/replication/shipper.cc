@@ -22,7 +22,7 @@ Shipper::Shipper(Database* db, std::string replica_dir,
       obs_(db != nullptr ? db->observability() : obs::Default()) {
   m_attempts_ = obs_->metrics.GetCounter(
       "caddb_replication_ship_attempts_total",
-      "Shipment attempts (including ones a fault plan swallowed)");
+      "Shipment attempts (including ones an injected fault swallowed)");
   m_files_ = obs_->metrics.GetCounter(
       "caddb_replication_ship_files_total",
       "Files copied into the replica directory");
@@ -51,31 +51,19 @@ Result<ShipmentReport> Shipper::ShipNow() {
   obs::Span span(&obs_->trace, "replication.ship", m_ship_us_,
                  /*always_time=*/true);
   m_attempts_->Increment();
-  report.fault = options_.faults.For(attempts_);
-  // The registry site is the runtime-armable face of the same per-attempt
-  // matrix: an armed `replication.ship` action maps onto the FaultKind the
-  // static plan would have carried (the plan, when both are set, wins).
+  // The per-attempt fault matrix is the `replication.ship` failpoint: a
+  // transport action is reported in `report.fault`, kDelay stalls the
+  // attempt and then ships, and kError fails it.
   fault::FiredAction shipfault;
-  if (report.fault == FaultKind::kNone &&
-      fault::Hit(fault::sites::kReplicationShip, &shipfault)) {
+  if (fault::Hit(fault::sites::kReplicationShip, &shipfault)) {
     switch (shipfault.kind) {
       case fault::ActionKind::kDrop:
-        report.fault = FaultKind::kDrop;
-        break;
       case fault::ActionKind::kTruncate:
-        report.fault = FaultKind::kTruncate;
-        break;
       case fault::ActionKind::kDuplicate:
-        report.fault = FaultKind::kDuplicate;
-        break;
       case fault::ActionKind::kReorder:
-        report.fault = FaultKind::kReorder;
-        break;
       case fault::ActionKind::kCorrupt:
-        report.fault = FaultKind::kCorrupt;
-        break;
       case fault::ActionKind::kStall:
-        report.fault = FaultKind::kStall;
+        report.fault = shipfault.kind;
         break;
       case fault::ActionKind::kDelay:
         fault::FailpointRegistry::Global().SleepFor(shipfault.delay_us);
@@ -87,7 +75,7 @@ Result<ShipmentReport> Shipper::ShipNow() {
                                 : ": " + shipfault.message));
     }
   }
-  if (report.fault == FaultKind::kStall) {
+  if (report.fault == fault::ActionKind::kStall) {
     return report;  // the transport hung; nothing reaches the replica
   }
   if (db_ == nullptr || !db_->durable()) {
@@ -175,7 +163,7 @@ Result<ShipmentReport> Shipper::ShipNow() {
 
   report.seq = manifest.seq;
   report.shipped_lsn = manifest.shipped_lsn();
-  if (report.fault == FaultKind::kDrop) {
+  if (report.fault == fault::ActionKind::kDrop) {
     return report;  // the whole attempt vanished in transit
   }
 
@@ -192,9 +180,9 @@ Result<ShipmentReport> Shipper::ShipNow() {
   const size_t fault_file = files.size() - 1;  // newest data takes the hit
   for (size_t i = 0; i < files.size(); ++i) {
     std::string to_write = files[i].bytes;
-    if (report.fault == FaultKind::kTruncate && i == fault_file) {
+    if (report.fault == fault::ActionKind::kTruncate && i == fault_file) {
       to_write.resize(to_write.size() / 2);
-    } else if (report.fault == FaultKind::kCorrupt && i == fault_file &&
+    } else if (report.fault == fault::ActionKind::kCorrupt && i == fault_file &&
                !to_write.empty()) {
       to_write[to_write.size() / 2] ^= 0x40;
     }
@@ -222,14 +210,14 @@ Result<ShipmentReport> Shipper::ShipNow() {
   const std::string encoded = manifest.Encode();
   const std::string manifest_path =
       (fs::path(replica_dir_) / kManifestFileName).string();
-  if (report.fault == FaultKind::kReorder) {
+  if (report.fault == fault::ActionKind::kReorder) {
     reorder_stash_ = encoded;
     return report;
   }
   CADDB_RETURN_IF_ERROR(
       fault::Inject(fault::sites::kReplicationShipManifest));
   CADDB_RETURN_IF_ERROR(wal::AtomicWriteFile(manifest_path, encoded));
-  if (report.fault == FaultKind::kDuplicate) {
+  if (report.fault == fault::ActionKind::kDuplicate) {
     CADDB_RETURN_IF_ERROR(wal::AtomicWriteFile(manifest_path, encoded));
   }
   if (!reorder_stash_.empty()) {
@@ -242,8 +230,8 @@ Result<ShipmentReport> Shipper::ShipNow() {
   // (segments truncated away, superseded checkpoints) — but only after a
   // clean publish, so a follower mid-catch-up on the previous manifest
   // never races a deletion of files it was promised.
-  if (report.fault == FaultKind::kNone ||
-      report.fault == FaultKind::kDuplicate) {
+  if (report.fault == fault::ActionKind::kOff ||
+      report.fault == fault::ActionKind::kDuplicate) {
     for (const fs::directory_entry& entry :
          fs::directory_iterator(replica_dir_, ec)) {
       if (!entry.is_regular_file(ec)) continue;

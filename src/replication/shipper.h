@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "fault/failpoint.h"
 #include "obs/observability.h"
-#include "replication/fault.h"
 #include "replication/manifest.h"
 #include "util/result.h"
 #include "wal/wal.h"
@@ -21,8 +21,6 @@ struct ShipperOptions {
   /// the durable bytes (a follower never learns of records the primary
   /// itself could lose in a crash).
   bool sync_before_ship = true;
-  /// Fault injection for the robustness matrix; empty ships clean.
-  FaultPlan faults;
 };
 
 /// What one ShipNow did.
@@ -33,7 +31,9 @@ struct ShipmentReport {
   uint64_t bytes_copied = 0;
   uint64_t files_healed = 0;   // replica copies that differed and were redone
   uint64_t files_deleted = 0;  // stale replica files garbage-collected
-  FaultKind fault = FaultKind::kNone;  // what the plan injected
+  /// The transport fault the `replication.ship` failpoint injected
+  /// (kOff when the attempt shipped clean).
+  fault::ActionKind fault = fault::ActionKind::kOff;
 };
 
 /// Primary-side log shipping: copies the newest checkpoint, every closed
@@ -55,8 +55,9 @@ class Shipper {
   /// `db` must outlive the Shipper and have been opened durably.
   Shipper(Database* db, std::string replica_dir, ShipperOptions options = {});
 
-  /// One shipment attempt. Fault injection consults the plan with the
-  /// attempt number (1-based); an injected fault is reported in the
+  /// One shipment attempt. Each attempt is one hit of the
+  /// `replication.ship` failpoint (arm it with `--skip=N --times=1` to hit
+  /// attempt N+1); an injected transport fault is reported in the
   /// ShipmentReport, not as an error — the transport losing a shipment is
   /// not the shipper failing.
   Result<ShipmentReport> ShipNow();

@@ -964,24 +964,21 @@ bool Dispatcher::ExecuteLine(const std::string& line, std::ostream& out) {
   if (cmd == "cache") {
     InheritanceManager& inherit = db_->inheritance();
     if (tokens.size() == 1) {
-      out << CacheModeName(inherit.cache_mode()) << ": "
+      out << (inherit.cache_enabled() ? "fine-grained" : "off") << ": "
           << inherit.cache_entries() << " entries; " << inherit.cache_hits()
           << " hits, " << inherit.cache_misses() << " misses, "
           << inherit.cache_invalidations() << " invalidations\n";
     } else if (tokens[1] == "off") {
-      inherit.SetCacheMode(CacheMode::kOff);
-      out << "ok\n";
-    } else if (tokens[1] == "global") {
-      inherit.SetCacheMode(CacheMode::kGlobalStamp);
+      inherit.EnableCache(false);
       out << "ok\n";
     } else if (tokens[1] == "fine" || tokens[1] == "on") {
-      inherit.SetCacheMode(CacheMode::kFineGrained);
+      inherit.EnableCache(true);
       out << "ok\n";
     } else if (tokens[1] == "reset-stats") {
       inherit.ResetCacheStats();
       out << "ok\n";
     } else {
-      fail(InvalidArgument("use: cache [off|global|fine|on|reset-stats]"));
+      fail(InvalidArgument("use: cache [off|fine|on|reset-stats]"));
     }
     return true;
   }

@@ -78,7 +78,7 @@ namespace shell {
 ///   log                   event-log status (level, counts, sink state)
 ///   log tail [n] [--format=json]   newest n structured events (default 20)
 ///   log level <debug|info|warn|error|off>   runtime level change
-///   cache [off|global|fine|on|reset-stats]   resolution-cache mode & stats
+///   cache [off|fine|on|reset-stats]   resolution-cache mode & stats
 ///   dump <path> | load <path>
 ///   wal status [--format=json]   log/recovery telemetry (durable only)
 ///   checkpoint            snapshot + truncate the log (durable only)

@@ -52,7 +52,6 @@ void ObjectStore::EnsureAllResident() const {
 
 void ObjectStore::Touch(DbObject* obj) {
   obj->BumpVersion();
-  ++global_version_;
   MarkDirty(obj->surrogate().id);
 }
 
@@ -100,7 +99,6 @@ Result<Surrogate> ObjectStore::NewObjectInternal(const std::string& type_name,
   Surrogate s(next_surrogate_++);
   objects_[s.id] = std::make_unique<DbObject>(s, type_name, kind);
   extents_[type_name].push_back(s);
-  ++global_version_;
   MarkDirty(s.id);
   return s;
 }
@@ -760,7 +758,6 @@ void ObjectStore::RepairIndexes() {
       }
     }
   }
-  ++global_version_;
 }
 
 Status ObjectStore::Delete(Surrogate s, DeletePolicy policy) {
@@ -848,7 +845,6 @@ Status ObjectStore::Delete(Surrogate s, DeletePolicy policy) {
     dirty_.erase(id);
     if (track_dirty_) deleted_.insert(id);
   }
-  ++global_version_;
   return OkStatus();
 }
 

@@ -124,10 +124,9 @@ class ObjectStore {
   /// Failed-checkpoint path: folds a claimed set back into the accumulators
   /// so the next attempt re-captures it.
   void RestoreCheckpointSet(CheckpointSet set);
-  /// Queues every live object as dirty. Migration path: a database restored
-  /// from a full-dump (v1/v2) checkpoint has nothing on pages yet; marking
-  /// everything dirty makes the first incremental checkpoint write the
-  /// whole store out.
+  /// Queues every live object as dirty. A database recovered without a
+  /// checkpoint (log replay only) has nothing on pages yet; marking
+  /// everything dirty makes the first checkpoint write the whole store out.
   void MarkAllDirty();
 
   /// Recovery: installs an object decoded from a page with its exact
@@ -186,10 +185,6 @@ class ObjectStore {
   /// findings.
   void RepairIndexes();
 
-  /// Monotone counter bumped on every mutation; used as a cheap
-  /// whole-store invalidation stamp by resolution caches.
-  uint64_t global_version() const { return global_version_; }
-
   /// Sentinel returned by ObjectVersion for objects that are not live.
   static constexpr uint64_t kDeadVersion = ~uint64_t{0};
   /// Per-object mutation counter of `s` — bumped on every attribute,
@@ -245,7 +240,6 @@ class ObjectStore {
   std::map<std::string, std::vector<Surrogate>> extents_;
   std::map<uint64_t, std::set<uint64_t>> where_used_;  // target -> rel objects
   uint64_t next_surrogate_ = 1;
-  uint64_t global_version_ = 0;
 
   // ---- Paging state ----
   const ObjectPager* pager_ = nullptr;

@@ -42,42 +42,7 @@ std::vector<CheckpointFileInfo> ListCheckpoints(const std::string& dir) {
 }
 
 Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
-                       uint64_t generation, const std::string& dump) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return InternalError("cannot create checkpoint directory '" + dir +
-                         "': " + ec.message());
-  }
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
-                Crc32cMask(Crc32c(dump.data(), dump.size())));
-  std::string contents = "caddb-checkpoint 2 " + std::to_string(lsn) + " " +
-                         std::to_string(generation) + " " +
-                         std::to_string(dump.size()) + " " + crc_hex + "\n" +
-                         dump;
-  const std::string path = (fs::path(dir) / CheckpointFileName(lsn)).string();
-  CADDB_RETURN_IF_ERROR(fault::Inject(fault::sites::kWalCheckpointPublish));
-  CADDB_RETURN_IF_ERROR(AtomicWriteFile(path, contents));
-  // The new checkpoint is durable; older ones are now dead weight.
-  for (const CheckpointFileInfo& info : ListCheckpoints(dir)) {
-    if (info.lsn >= lsn) continue;
-    fs::remove(info.path, ec);
-    if (ec) {
-      return InternalError("cannot remove old checkpoint '" + info.path +
-                           "': " + ec.message());
-    }
-  }
-  return SyncDir(dir);
-}
-
-Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
-                       const std::string& dump) {
-  return WriteCheckpoint(dir, lsn, /*generation=*/0, dump);
-}
-
-Status WriteCheckpointV3(const std::string& dir, uint64_t lsn,
-                         uint64_t generation, const CheckpointData& data) {
+                       uint64_t generation, const CheckpointData& data) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -104,6 +69,7 @@ Status WriteCheckpointV3(const std::string& dir, uint64_t lsn,
   const std::string path = (fs::path(dir) / CheckpointFileName(lsn)).string();
   CADDB_RETURN_IF_ERROR(fault::Inject(fault::sites::kWalCheckpointPublish));
   CADDB_RETURN_IF_ERROR(AtomicWriteFile(path, contents));
+  // The new checkpoint is durable; older ones are now dead weight.
   for (const CheckpointFileInfo& info : ListCheckpoints(dir)) {
     if (info.lsn >= lsn) continue;
     fs::remove(info.path, ec);
@@ -117,8 +83,8 @@ Status WriteCheckpointV3(const std::string& dir, uint64_t lsn,
 
 namespace {
 
-/// Parses the v3 body (after the CRC already checked out).
-Status ParseV3Body(const std::string& path, const std::string& body,
+/// Parses the body (after the CRC already checked out).
+Status ParseBody(const std::string& path, const std::string& body,
                    LoadedCheckpoint* out) {
   size_t pos = 0;
   auto next_line = [&](std::string* line) -> bool {
@@ -180,14 +146,16 @@ Result<LoadedCheckpoint> ReadCheckpointFile(const CheckpointFileInfo& info) {
   size_t body_bytes = 0;
   std::string crc_hex;
   header >> magic >> version;
-  if (version == 1) {
-    // Version 1 predates log generations; it loads as generation 0.
-    header >> lsn >> body_bytes >> crc_hex;
-  } else {
-    header >> lsn >> generation >> body_bytes >> crc_hex;
+  if (magic != "caddb-checkpoint" || header.fail()) {
+    return ParseError("checkpoint '" + info.path + "': bad header");
   }
-  if (magic != "caddb-checkpoint" ||
-      (version != 1 && version != 2 && version != 3) || header.fail()) {
+  if (version != 3) {
+    return ParseError("checkpoint '" + info.path +
+                      "': unsupported checkpoint version " +
+                      std::to_string(version) + " (only version 3 is read)");
+  }
+  header >> lsn >> generation >> body_bytes >> crc_hex;
+  if (header.fail()) {
     return ParseError("checkpoint '" + info.path + "': bad header");
   }
   if (lsn != info.lsn) {
@@ -211,13 +179,8 @@ Result<LoadedCheckpoint> ReadCheckpointFile(const CheckpointFileInfo& info) {
   LoadedCheckpoint out;
   out.lsn = lsn;
   out.generation = generation;
-  out.format = version;
   out.path = info.path;
-  if (version == 3) {
-    CADDB_RETURN_IF_ERROR(ParseV3Body(info.path, body, &out));
-  } else {
-    out.dump = std::move(body);
-  }
+  CADDB_RETURN_IF_ERROR(ParseBody(info.path, body, &out));
   return out;
 }
 

@@ -12,20 +12,20 @@
 namespace caddb {
 namespace wal {
 
-/// Checkpoint files: a database snapshot (persist::Dumper text) covering
-/// every log record up to and including an lsn, published atomically.
+/// Checkpoint files: an incremental database snapshot covering every log
+/// record up to and including an lsn, published atomically.
 ///
-/// On-disk format (version 2):
+/// On-disk format (version 3, the only one written or read):
 ///
-///   caddb-checkpoint 2 <lsn> <generation> <body-bytes> <crc32c-hex>\n
-///   <Dumper::Dump body>
+///   caddb-checkpoint 3 <lsn> <generation> <body-bytes> <crc32c-hex>\n
+///   <body, see CheckpointData>
 ///
 /// `generation` numbers log generations: every Database::Open writes a
 /// fresh checkpoint with the loaded generation + 1, so one generation never
 /// mixes the surrogate/transaction id spaces of two processes, and a
 /// replication follower can detect a stale or rewound primary by a
-/// generation that moves backwards. Version-1 files (no generation field)
-/// are still readable and load as generation 0.
+/// generation that moves backwards. Files of the retired dump-based
+/// versions 1 and 2 are rejected with an error naming their version.
 ///
 /// The CRC is the masked CRC32C of the body, so a checkpoint torn by a
 /// crash during publication is detected and skipped in favour of the
@@ -34,8 +34,8 @@ namespace wal {
 /// against partial copies and bit rot).
 ///
 /// This layer deliberately knows nothing about Database; the engine hands
-/// it dump text (core/database.cc composes Dump + WriteCheckpoint +
-/// Wal::RotateAndTruncate).
+/// it the captured payload (core/database.cc composes the capture,
+/// WriteCheckpoint and Wal::RotateAndTruncate).
 
 /// `checkpoint-<lsn, 16 hex digits>.db`.
 std::string CheckpointFileName(uint64_t lsn);
@@ -49,19 +49,8 @@ struct CheckpointFileInfo {
 /// other names are ignored.
 std::vector<CheckpointFileInfo> ListCheckpoints(const std::string& dir);
 
-/// Atomically publishes a checkpoint covering `lsn` in log generation
-/// `generation` (temp file + fsync + rename + directory fsync), then
-/// deletes every older checkpoint file. `lsn` may be 0 for a checkpoint of
-/// a database with an empty log.
-Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
-                       uint64_t generation, const std::string& dump);
-
-/// Back-compat convenience: generation 0.
-Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
-                       const std::string& dump);
-
-/// Incremental (version 3) checkpoint payload. Instead of a full database
-/// dump, a v3 checkpoint carries
+/// Checkpoint payload. Instead of a full database dump, a checkpoint
+/// carries
 ///
 ///   - `meta`: the non-paged state (schema DDL, class registry, version
 ///     graph, next-surrogate counter) as persist meta-snapshot text, and
@@ -75,7 +64,7 @@ Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
 ///     committed after `lsn` must be replayed even though they precede the
 ///     checkpoint lsn. 0 when no transaction spanned the checkpoint.
 ///
-/// On-disk: header line as v2, body =
+/// On-disk body:
 ///
 ///   replayfrom <lsn>\n
 ///   meta <byte-count>\n<meta bytes>
@@ -87,28 +76,35 @@ struct CheckpointData {
   std::vector<std::pair<uint32_t, std::string>> pages;
 };
 
-/// Atomically publishes an incremental v3 checkpoint, then deletes every
-/// older checkpoint file.
-Status WriteCheckpointV3(const std::string& dir, uint64_t lsn,
-                         uint64_t generation, const CheckpointData& data);
+/// Atomically publishes a checkpoint covering `lsn` in log generation
+/// `generation` (temp file + fsync + rename + directory fsync), then
+/// deletes every older checkpoint file. `lsn` may be 0 for a checkpoint of
+/// a database with an empty log.
+Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
+                       uint64_t generation, const CheckpointData& data);
 
 struct LoadedCheckpoint {
   /// 0 when no checkpoint exists (recovery replays the log from lsn 1).
   uint64_t lsn = 0;
-  /// Log generation the checkpoint was written in (0 for version-1 files
-  /// and for fresh directories).
+  /// Log generation the checkpoint was written in (0 for fresh
+  /// directories).
   uint64_t generation = 0;
-  /// File format the checkpoint was stored in (1, 2 or 3; 0 for a fresh
-  /// directory with no checkpoint at all).
-  int format = 0;
-  /// v1/v2: the full Dumper::Dump text. Empty for v3.
-  std::string dump;
-  /// v3 only: meta-snapshot text, dirty-page images, and the oldest lsn
-  /// replay may still need (see CheckpointData).
+  /// Meta-snapshot text, dirty-page images, and the oldest lsn replay may
+  /// still need (see CheckpointData).
   std::string meta;
   uint64_t replay_from = 0;
   std::map<uint32_t, std::string> pages;
+  /// Empty for a fresh directory with no checkpoint at all.
   std::string path;
+
+  /// Newest lsn the log scan may skip wholesale. A checkpoint captured
+  /// while a transaction was in flight masked that transaction's writes
+  /// with before-images; its records — which may start before `lsn` — must
+  /// be replayed if it committed after, so the floor drops to one below
+  /// `replay_from`. Recovery and the offline verifier share this rule.
+  uint64_t replay_floor() const {
+    return replay_from != 0 && replay_from <= lsn ? replay_from - 1 : lsn;
+  }
 };
 
 /// Parses and CRC-checks one checkpoint file. Every failure is a parse
@@ -119,7 +115,7 @@ Result<LoadedCheckpoint> ReadCheckpointFile(const CheckpointFileInfo& info);
 
 /// Loads the newest checkpoint whose header parses and whose body matches
 /// its CRC, skipping (but not deleting) invalid ones. A directory with no
-/// usable checkpoint yields {lsn = 0, dump = ""} — not an error.
+/// usable checkpoint yields {lsn = 0, path = ""} — not an error.
 Result<LoadedCheckpoint> ReadNewestCheckpoint(const std::string& dir);
 
 }  // namespace wal

@@ -234,13 +234,13 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
   CADDB_ASSIGN_OR_RETURN(LoadedCheckpoint checkpoint,
                          ReadNewestCheckpoint(dir));
   std::map<uint64_t, uint64_t> mapping;  // writer's surrogate -> ours
-  if (checkpoint.format == 3) {
-    // v3: objects live on pages. Open the page file (healing any torn
-    // pages from the checkpoint's double-write images), adopt every paged
-    // object with its original surrogate, then apply the meta snapshot
-    // (schema, classes, version graph, allocator). Surrogates are NOT
-    // remapped — the page file is authoritative — so replay's translation
-    // map is seeded with identities.
+  if (!checkpoint.path.empty()) {
+    // Objects live on pages. Open the page file (healing any torn pages
+    // from the checkpoint's double-write images), adopt every paged object
+    // with its original surrogate, then apply the meta snapshot (schema,
+    // classes, version graph, allocator). Surrogates are NOT remapped —
+    // the page file is authoritative — so replay's translation map is
+    // seeded with identities.
     CADDB_RETURN_IF_ERROR(
         Annotate("checkpoint '" + checkpoint.path + "'",
                  db->InitPagedStore(dir, checkpoint.pages, options)));
@@ -249,25 +249,12 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
                  persist::LoadMeta(checkpoint.meta, db)));
     db->store().RepairIndexes();
     for (Surrogate s : db->store().AllObjects()) mapping[s.id] = s.id;
-  } else if (!checkpoint.dump.empty()) {
-    CADDB_RETURN_IF_ERROR(Annotate(
-        "checkpoint '" + checkpoint.path + "'",
-        persist::Dumper::Load(checkpoint.dump, db, &mapping)));
   }
   report.checkpoint_lsn = checkpoint.lsn;
   report.generation = checkpoint.generation;
   report.checkpoint_path = checkpoint.path;
   report.last_lsn = checkpoint.lsn;
-
-  // A v3 checkpoint captured while a transaction was in flight masked that
-  // transaction's writes with before-images; its records — which may start
-  // *before* the checkpoint lsn — must be replayed if it committed after.
-  // replay_floor is the newest lsn the scan may skip wholesale.
-  const uint64_t replay_floor =
-      (checkpoint.format == 3 && checkpoint.replay_from != 0 &&
-       checkpoint.replay_from <= checkpoint.lsn)
-          ? checkpoint.replay_from - 1
-          : checkpoint.lsn;
+  const uint64_t replay_floor = checkpoint.replay_floor();
 
   // 2. Scan: every valid frame past the checkpoint, in lsn order. With
   // size-based rotation the log is a *chain* of segments, so segment seams
@@ -387,7 +374,7 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
   std::map<uint64_t, uint64_t> binding_mapping;
   for (const ScannedRecord& scanned : records) {
     const Record& r = scanned.record;
-    // Pre-checkpoint records reach here only below a v3 checkpoint's
+    // Pre-checkpoint records reach here only below a checkpoint's
     // replay window. An auto-committed one is already in the snapshot; a
     // transaction's records matter only when its commit marker landed
     // *after* the checkpoint (a commit at or before it means the capture

@@ -54,8 +54,8 @@ struct DurabilityOptions {
 /// crash-matrix tests.
 struct RecoveryReport {
   uint64_t checkpoint_lsn = 0;   // 0 = no checkpoint, replay from lsn 1
-  /// Log generation of the loaded checkpoint (0 with no checkpoint or a
-  /// version-1 file). Database::Open writes its fresh checkpoint with
+  /// Log generation of the loaded checkpoint (0 with no checkpoint).
+  /// Database::Open writes its fresh checkpoint with
   /// generation + 1, so every process lifetime is its own generation.
   uint64_t generation = 0;
   std::string checkpoint_path;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -762,12 +763,31 @@ TEST(DiskVerifierTest, Cad315DamagedCheckpointBody) {
       << report.RenderText();
 }
 
+TEST(DiskVerifierTest, Cad315RetiredCheckpointVersion) {
+  // A version-2 (dump-based) checkpoint with a valid body CRC: only its
+  // version makes it unreadable, and the verifier must say so.
+  const std::string dir = TestDir("cad315_retired");
+  const std::string body = "caddb-dump 1\nschema 0\n";
+  char crc_hex[16];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
+                wal::Crc32cMask(wal::Crc32c(body.data(), body.size())));
+  WriteFile((fs::path(dir) / wal::CheckpointFileName(0)).string(),
+            "caddb-checkpoint 2 0 1 " + std::to_string(body.size()) + " " +
+                crc_hex + "\n" + body);
+  DiskVerifyReport report = Verify(dir);
+  ASSERT_GE(CountCode(report.diagnostics, "CAD315"), 1u)
+      << report.RenderText();
+  EXPECT_NE(report.RenderText().find("unsupported checkpoint version 2"),
+            std::string::npos)
+      << report.RenderText();
+}
+
 TEST(DiskVerifierTest, Cad316ReplayFloorPastCoverLsn) {
   const std::string dir = TestDir("cad316");
   wal::CheckpointData data;
   data.meta = "";
   data.replay_from = 10;  // past the cover lsn below
-  ASSERT_TRUE(wal::WriteCheckpointV3(dir, /*lsn=*/5, /*generation=*/1, data)
+  ASSERT_TRUE(wal::WriteCheckpoint(dir, /*lsn=*/5, /*generation=*/1, data)
                   .ok());
   DiskVerifyReport report = Verify(dir);
   EXPECT_GE(CountCode(report.diagnostics, "CAD316"), 1u)
@@ -778,7 +798,7 @@ TEST(DiskVerifierTest, Cad317InvalidCheckpointPageImage) {
   const std::string dir = TestDir("cad317");
   wal::CheckpointData data;
   data.pages.emplace_back(0u, std::string("short image"));
-  ASSERT_TRUE(wal::WriteCheckpointV3(dir, /*lsn=*/1, /*generation=*/1, data)
+  ASSERT_TRUE(wal::WriteCheckpoint(dir, /*lsn=*/1, /*generation=*/1, data)
                   .ok());
   DiskVerifyReport report = Verify(dir);
   EXPECT_GE(CountCode(report.diagnostics, "CAD317"), 1u)
@@ -801,8 +821,9 @@ TEST(DiskVerifierTest, Cad318ReplayFloorNotCoveredBySegments) {
 
 TEST(DiskVerifierTest, Cad319ManifestGenerationDisagreesWithCheckpoint) {
   const std::string dir = TestDir("cad319");
-  ASSERT_TRUE(
-      wal::WriteCheckpoint(dir, /*lsn=*/0, /*generation=*/7, "dump").ok());
+  ASSERT_TRUE(wal::WriteCheckpoint(dir, /*lsn=*/0, /*generation=*/7,
+                                   wal::CheckpointData{})
+                  .ok());
   std::vector<wal::CheckpointFileInfo> checkpoints =
       wal::ListCheckpoints(dir);
   ASSERT_EQ(checkpoints.size(), 1u);

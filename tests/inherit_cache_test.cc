@@ -114,13 +114,13 @@ TEST_F(InheritCacheTest, ResetCacheStatsKeepsEntries) {
   EXPECT_EQ(inh().cache_misses(), 0u);
 }
 
-// ---- The tentpole: fine-grained vs. global-stamp invalidation ----
+// ---- Fine-grained invalidation ----
 
 TEST_F(InheritCacheTest, FineGrainedSurvivesUnrelatedWrites) {
   BindChain(chain1_, 10);
   BindChain(chain2_, 20);
 
-  inh().SetCacheMode(CacheMode::kFineGrained);
+  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
   inh().ResetCacheStats();
   // A write on the *other* chain shares no dependency with chain1's entry.
@@ -129,20 +129,11 @@ TEST_F(InheritCacheTest, FineGrainedSurvivesUnrelatedWrites) {
   EXPECT_EQ(inh().cache_hits(), 1u)
       << "unrelated write must not evict under fine-grained validation";
   EXPECT_EQ(db_.Get(chain2_[kDepth], "A")->AsInt(), 21);
-
-  inh().SetCacheMode(CacheMode::kGlobalStamp);
-  EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
-  inh().ResetCacheStats();
-  ASSERT_TRUE(db_.Set(chain2_[0], "A", Value::Int(22)).ok());
-  EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
-  EXPECT_EQ(inh().cache_hits(), 0u)
-      << "global stamp is expected to evict on any write (the baseline)";
-  EXPECT_GE(inh().cache_invalidations(), 1u);
 }
 
 TEST_F(InheritCacheTest, DeepReadWarmsEveryChainLevel) {
   BindChain(chain1_, 5);
-  inh().SetCacheMode(CacheMode::kFineGrained);
+  inh().EnableCache(true);
   // One leaf read resolves through L3, L2, L1 — each gets its own entry.
   // L0 resolves A locally, so it takes no entry.
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 5);
@@ -155,12 +146,11 @@ TEST_F(InheritCacheTest, DeepReadWarmsEveryChainLevel) {
 
 // ---- Satellite 4: depth-4 visibility, including mid-chain rebinding ----
 
-TEST_F(InheritCacheTest, Depth4UpdateVisibleInAllCacheModes) {
+TEST_F(InheritCacheTest, Depth4UpdateVisibleWithCacheOnAndOff) {
   BindChain(chain1_, 100);
-  for (CacheMode mode : {CacheMode::kOff, CacheMode::kGlobalStamp,
-                         CacheMode::kFineGrained}) {
-    SCOPED_TRACE(CacheModeName(mode));
-    inh().SetCacheMode(mode);
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache on" : "cache off");
+    inh().EnableCache(cached);
     ASSERT_TRUE(db_.Get(chain1_[kDepth], "A").ok());
     ASSERT_TRUE(db_.Set(chain1_[0], "A", Value::Int(++tick_)).ok());
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), tick_)
@@ -175,10 +165,9 @@ TEST_F(InheritCacheTest, Depth4UpdateVisibleInAllCacheModes) {
 TEST_F(InheritCacheTest, MidChainRebindRedirectsDeepReads) {
   BindChain(chain1_, 10);
   BindChain(chain2_, 20);
-  for (CacheMode mode : {CacheMode::kOff, CacheMode::kGlobalStamp,
-                         CacheMode::kFineGrained}) {
-    SCOPED_TRACE(CacheModeName(mode));
-    inh().SetCacheMode(mode);
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache on" : "cache off");
+    inh().EnableCache(cached);
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
     // Splice chain1's suffix onto chain2: L2 of chain1 now hangs under
     // L1 of chain2, so the leaf must resolve to chain2's root value.

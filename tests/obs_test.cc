@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/database.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
+#include "shell/shell.h"
 #include "util/json_writer.h"
 
 namespace caddb {
@@ -108,6 +111,27 @@ TEST(HistogramTest, ZeroOverflowAndEmpty) {
   HistogramSnapshot snap = overflow.Snapshot();
   EXPECT_EQ(snap.counts.back(), 1u);
   EXPECT_EQ(snap.Percentile(0.99), double(snap.bounds.back()));
+}
+
+TEST(HistogramTest, FirstBucketPercentileFollowsItsValues) {
+  // Constant-1 (e.g. one commit per fsync) and constant-0 distributions
+  // both land in the first bucket [0, 1]; each must report its own value.
+  Histogram ones;
+  Histogram zeros;
+  for (int i = 0; i < 40; ++i) {
+    ones.Record(1);
+    zeros.Record(0);
+  }
+  EXPECT_EQ(ones.Snapshot().Percentile(0.50), 1.0);
+  EXPECT_EQ(ones.Snapshot().Percentile(0.99), 1.0);
+  EXPECT_EQ(zeros.Snapshot().Percentile(0.50), 0.0);
+  EXPECT_EQ(zeros.Snapshot().Percentile(0.99), 0.0);
+
+  // A later bucket does not pull the first one's estimate off its values.
+  Histogram skewed;
+  for (int i = 0; i < 9; ++i) skewed.Record(1);
+  skewed.Record(100);
+  EXPECT_EQ(skewed.Snapshot().Percentile(0.50), 1.0);
 }
 
 TEST(HistogramTest, CustomBounds) {
@@ -459,6 +483,43 @@ TEST(ExpositionTest, JsonRendersAndEmbeds) {
   WriteMetricsJson(snapshot, &w);
   w.EndObject();
   EXPECT_EQ(w.str(), "{\"metrics\":" + json + "}");
+}
+
+TEST(ExpositionTest, FirstBucketPercentilesInShellTextAndJson) {
+  // The shell's `metrics` text truncates percentiles to integers, so a
+  // constant-1 histogram (commits per fsync under one writer) printed
+  // p50=0 while its first-bucket estimate was 0.5.
+  Database db;
+  Histogram* ones = db.observability()->metrics.GetHistogram(
+      "caddb_test_ones", "Always 1");
+  Histogram* zeros = db.observability()->metrics.GetHistogram(
+      "caddb_test_zeros", "Always 0");
+  for (int i = 0; i < 8; ++i) {
+    ones->Record(1);
+    zeros->Record(0);
+  }
+  shell::Shell shell(&db);
+  std::istringstream in("metrics\n");
+  std::ostringstream out;
+  shell.Run(in, out);
+  EXPECT_EQ(shell.error_count(), 0u) << out.str();
+  EXPECT_NE(out.str().find("caddb_test_ones count=8 p50=1 p95=1 p99=1"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("caddb_test_zeros count=8 p50=0 p95=0 p99=0"),
+            std::string::npos)
+      << out.str();
+
+  const std::string json =
+      RenderMetricsJson(db.observability()->metrics.Snapshot());
+  EXPECT_NE(json.find("\"caddb_test_ones\":{\"count\":8,\"sum\":8,"
+                      "\"p50\":1,\"p95\":1,\"p99\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"caddb_test_zeros\":{\"count\":8,\"sum\":0,"
+                      "\"p50\":0,\"p95\":0,\"p99\":0"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -1,20 +1,22 @@
 // Log-shipping replication: shipper/follower round trips, the shipment
-// fault-plan matrix (drop, truncate, duplicate, reorder, corrupt-one-byte,
-// stall — each must heal or quarantine, never apply divergent data), the
+// fault matrix on the `replication.ship` failpoint (drop, truncate,
+// duplicate, reorder, corrupt-one-byte, stall — each must heal or
+// quarantine, never apply divergent data), the
 // CAD201-205 divergence quarantines, retry/backoff behavior through the
 // injectable I/O hooks, and promotion.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
 #include "core/paper_schemas.h"
+#include "fault/failpoint.h"
 #include "persist/dump.h"
-#include "replication/fault.h"
 #include "replication/follower.h"
 #include "replication/manifest.h"
 #include "replication/shipper.h"
@@ -43,6 +45,25 @@ std::string CanonicalDump(const Database& db) {
   Result<std::string> dump = persist::CanonicalDump(db);
   EXPECT_TRUE(dump.ok()) << dump.status().ToString();
   return dump.ok() ? *dump : std::string();
+}
+
+/// Arms the process-global `replication.ship` failpoint for one test and
+/// disarms every site on all exits, assertion failures included, so a
+/// fault never leaks into the next case of this binary.
+struct ShipFaultGuard {
+  ShipFaultGuard() { fault::FailpointRegistry::Global().DisarmAll(); }
+  ~ShipFaultGuard() { fault::FailpointRegistry::Global().DisarmAll(); }
+  /// `spec` in the shell's token form, e.g. "truncate --skip=1 --times=1".
+  Status Arm(const std::string& spec) {
+    return fault::FailpointRegistry::Global().ArmFromString(
+        std::string(fault::sites::kReplicationShip) + " " + spec);
+  }
+};
+
+/// Matrix name of a shipment fault; kOff is the clean run.
+std::string ShipFaultName(fault::ActionKind kind) {
+  return kind == fault::ActionKind::kOff ? "none"
+                                         : fault::ActionKindName(kind);
 }
 
 /// One increment of primary work per shipment: an auto-committed create +
@@ -236,26 +257,30 @@ TEST(ReplicationTest, PrimaryRestartAdvancesGenerationAndSeqKeepsAscending) {
 
 // ---- The shipment fault matrix ----
 //
-// For every FaultKind, attempt 2 of 4 is hit by the fault while the primary
+// For every shipment fault, attempt 2 of 4 is hit by the fault (armed as
+// `<kind> --skip=1 --times=1` on `replication.ship`) while the primary
 // keeps working between shipments. Acceptance: the follower either catches
 // up (after the fault, polls may report kUnavailable while the transfer is
 // broken) or quarantines — it never serves state that diverges from the
 // primary's history, and after the final clean shipment it must converge
 // exactly.
-class FaultMatrixTest : public ::testing::TestWithParam<FaultKind> {};
+class FaultMatrixTest : public ::testing::TestWithParam<fault::ActionKind> {
+};
 
 TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
-  const FaultKind fault = GetParam();
-  const std::string name = FaultKindName(fault);
+  const fault::ActionKind kind = GetParam();
+  const std::string name = ShipFaultName(kind);
   const std::string primary_dir = TestDir(std::string("fault_") + name);
   const std::string replica_dir =
       TestDir(std::string("fault_") + name + "_replica");
 
-  ShipperOptions ship_options;
-  ship_options.faults.by_attempt[2] = fault;
+  ShipFaultGuard guard;
+  if (kind != fault::ActionKind::kOff) {
+    ASSERT_TRUE(guard.Arm(name + " --skip=1 --times=1").ok());
+  }
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   std::vector<std::string> oracles;  // primary state at each ship
@@ -263,7 +288,7 @@ TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
     ASSERT_TRUE(ApplyStage((*primary).get(), stage).ok());
     auto shipped = shipper.ShipNow();
     ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-    EXPECT_EQ(shipped->fault, stage == 2 ? fault : FaultKind::kNone);
+    EXPECT_EQ(shipped->fault, stage == 2 ? kind : fault::ActionKind::kOff);
     oracles.push_back(CanonicalDump(**primary));
 
     auto poll = follower.Poll();
@@ -309,29 +334,43 @@ TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFaults, FaultMatrixTest,
-    ::testing::Values(FaultKind::kNone, FaultKind::kDrop, FaultKind::kTruncate,
-                      FaultKind::kDuplicate, FaultKind::kReorder,
-                      FaultKind::kCorrupt, FaultKind::kStall),
-    [](const ::testing::TestParamInfo<FaultKind>& info) {
-      return std::string(FaultKindName(info.param));
+    ::testing::Values(fault::ActionKind::kOff, fault::ActionKind::kDrop,
+                      fault::ActionKind::kTruncate,
+                      fault::ActionKind::kDuplicate,
+                      fault::ActionKind::kReorder, fault::ActionKind::kCorrupt,
+                      fault::ActionKind::kStall),
+    [](const ::testing::TestParamInfo<fault::ActionKind>& info) {
+      return ShipFaultName(info.param);
     });
 
-TEST(ReplicationTest, GeneratorWorkloadUnderScriptedFaultPlanConverges) {
+TEST(ReplicationTest, GeneratorWorkloadUnderScriptedFaultsConverges) {
   // The tentpole drill: a workload::Generator-driven primary shipping
-  // through a scripted multi-fault plan ("2:truncate,4:corrupt,5:drop").
-  // At every cut point the follower serves some ship-time oracle or
-  // reports kUnavailable; after the plan runs dry it converges exactly.
+  // through a scripted multi-fault schedule (truncate at attempt 2, corrupt
+  // at 4, drop at 5; each armed on `replication.ship` with `--skip` counting
+  // the clean attempts before it). At every cut point the follower serves
+  // some ship-time oracle or reports kUnavailable; after the schedule runs
+  // dry it converges exactly.
   const std::string primary_dir = TestDir("generator_primary");
   const std::string replica_dir = TestDir("generator_replica");
-  ShipperOptions ship_options;
-  Result<FaultPlan> plan = ParseFaultPlan("2:truncate,4:corrupt,5:drop");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ship_options.faults = *plan;
+  // round -> the fault that attempt suffers; each is armed right after
+  // the previous fault fired.
+  const std::map<int, fault::ActionKind> script = {
+      {2, fault::ActionKind::kTruncate},
+      {4, fault::ActionKind::kCorrupt},
+      {5, fault::ActionKind::kDrop}};
+  ShipFaultGuard guard;
+  auto arm_next = [&](int round) -> Status {
+    auto next = script.upper_bound(round);
+    if (next == script.end()) return OkStatus();
+    return guard.Arm(ShipFaultName(next->second) + " --skip=" +
+                     std::to_string(next->first - round - 1) + " --times=1");
+  };
+  ASSERT_TRUE(arm_next(0).ok());
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesBase).ok());
   ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesInterfaces).ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   std::vector<std::string> oracles;
@@ -345,7 +384,13 @@ TEST(ReplicationTest, GeneratorWorkloadUnderScriptedFaultPlanConverges) {
     ASSERT_TRUE(netlist.ok()) << netlist.status().ToString();
     auto shipped = shipper.ShipNow();
     ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-    EXPECT_EQ(shipped->fault, ship_options.faults.For(round));
+    auto scripted = script.find(round);
+    EXPECT_EQ(shipped->fault, scripted == script.end()
+                                  ? fault::ActionKind::kOff
+                                  : scripted->second);
+    if (scripted != script.end()) {
+      ASSERT_TRUE(arm_next(round).ok());
+    }
     oracles.push_back(CanonicalDump(**primary));
 
     auto poll = follower.Poll();
@@ -385,11 +430,11 @@ TEST(ReplicationTest, TruncatedTransferReportsUnavailableThenHeals) {
   // the next clean shipment must re-copy the damaged file.
   const std::string primary_dir = TestDir("truncate_primary");
   const std::string replica_dir = TestDir("truncate_replica");
-  ShipperOptions ship_options;
-  ship_options.faults.by_attempt[2] = FaultKind::kTruncate;
+  ShipFaultGuard guard;
+  ASSERT_TRUE(guard.Arm("truncate --skip=1 --times=1").ok());
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   ASSERT_TRUE(ApplyStage((*primary).get(), 1).ok());
@@ -594,9 +639,11 @@ TEST(ReplicationQuarantineTest, CrcValidButUnreplayableShipmentIsCAD205) {
   // a broken history. That is divergence, not a transfer problem.
   const std::string replica_dir = TestDir("cad205_replica");
   Database empty;
-  Result<std::string> dump = persist::Dumper::Dump(empty);
-  ASSERT_TRUE(dump.ok());
-  ASSERT_TRUE(wal::WriteCheckpoint(replica_dir, 0, 1, *dump).ok());
+  Result<std::string> meta = persist::DumpMeta(empty);
+  ASSERT_TRUE(meta.ok());
+  wal::CheckpointData data;
+  data.meta = *meta;
+  ASSERT_TRUE(wal::WriteCheckpoint(replica_dir, 0, 1, data).ok());
   std::vector<wal::CheckpointFileInfo> checkpoints =
       wal::ListCheckpoints(replica_dir);
   ASSERT_EQ(checkpoints.size(), 1u);
@@ -1096,28 +1143,6 @@ TEST(ReplicationReseedTest, ReseedRefusesWhenNotQuarantined) {
   EXPECT_EQ(pair.follower->state(), FollowerState::kFollowing)
       << "a refused reseed must not disturb a healthy follower";
   ASSERT_TRUE(pair.primary->Close().ok());
-}
-
-TEST(FaultPlanTest, ParsesSpecsAndRejectsUnknownKinds) {
-  Result<FaultPlan> plan = ParseFaultPlan("3:drop,5:corrupt,7:stall");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->For(3), FaultKind::kDrop);
-  EXPECT_EQ(plan->For(5), FaultKind::kCorrupt);
-  EXPECT_EQ(plan->For(7), FaultKind::kStall);
-  EXPECT_EQ(plan->For(4), FaultKind::kNone);
-  EXPECT_FALSE(ParseFaultPlan("3:meteor").ok());
-  EXPECT_FALSE(ParseFaultPlan("nope").ok());
-  Result<FaultPlan> empty = ParseFaultPlan("");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  for (FaultKind kind :
-       {FaultKind::kNone, FaultKind::kDrop, FaultKind::kTruncate,
-        FaultKind::kDuplicate, FaultKind::kReorder, FaultKind::kCorrupt,
-        FaultKind::kStall}) {
-    Result<FaultKind> round = FaultKindFromName(FaultKindName(kind));
-    ASSERT_TRUE(round.ok()) << FaultKindName(kind);
-    EXPECT_EQ(*round, kind);
-  }
 }
 
 }  // namespace

@@ -305,14 +305,5 @@ TEST_F(StoreTest, ExtentTracksAllInstancesIncludingSubobjects) {
   EXPECT_TRUE(store_.Extent("Impl").empty());
 }
 
-TEST_F(StoreTest, GlobalVersionAdvancesOnMutation) {
-  uint64_t v0 = store_.global_version();
-  Surrogate iface = Make("Iface");
-  uint64_t v1 = store_.global_version();
-  EXPECT_GT(v1, v0);
-  store_.SetAttribute(iface, "L", Value::Int(1)).ok();
-  EXPECT_GT(store_.global_version(), v1);
-}
-
 }  // namespace
 }  // namespace caddb

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -234,16 +235,39 @@ TEST(WalTest, RotateAndTruncateDropsOldSegments) {
 
 // ---- Checkpoint files ----
 
+/// A payload whose meta text identifies it; no page images.
+CheckpointData MetaOnly(const std::string& meta) {
+  CheckpointData data;
+  data.meta = meta;
+  return data;
+}
+
+/// Publishes a checkpoint in one of the retired dump-based formats (1 has
+/// no generation field, 2 has one). The body CRC is valid, so only the
+/// version can reject the file.
+void WriteRetiredCheckpoint(const std::string& dir, int version,
+                            uint64_t lsn) {
+  const std::string body = "caddb-dump 1\nschema 0\n";
+  char crc_hex[16];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
+                Crc32cMask(Crc32c(body.data(), body.size())));
+  std::ofstream f(dir + "/" + CheckpointFileName(lsn));
+  f << "caddb-checkpoint " << version << " " << lsn
+    << (version == 2 ? " 1" : "") << " " << body.size() << " " << crc_hex
+    << "\n"
+    << body;
+}
+
 TEST(CheckpointTest, WriteReadRoundTripAndPruning) {
   std::string dir = TestDir("checkpoint_rw");
-  ASSERT_TRUE(WriteCheckpoint(dir, 7, "body at 7\n").ok());
-  ASSERT_TRUE(WriteCheckpoint(dir, 42, "body at 42\n").ok());
+  ASSERT_TRUE(WriteCheckpoint(dir, 7, 0, MetaOnly("body at 7\n")).ok());
+  ASSERT_TRUE(WriteCheckpoint(dir, 42, 0, MetaOnly("body at 42\n")).ok());
   // The older file is pruned once the newer one is published.
   EXPECT_EQ(ListCheckpoints(dir).size(), 1u);
   auto loaded = ReadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->lsn, 42u);
-  EXPECT_EQ(loaded->dump, "body at 42\n");
+  EXPECT_EQ(loaded->meta, "body at 42\n");
 }
 
 TEST(CheckpointTest, EmptyDirectoryYieldsNoCheckpoint) {
@@ -251,21 +275,71 @@ TEST(CheckpointTest, EmptyDirectoryYieldsNoCheckpoint) {
   auto loaded = ReadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->lsn, 0u);
-  EXPECT_TRUE(loaded->dump.empty());
+  EXPECT_TRUE(loaded->meta.empty());
+  EXPECT_TRUE(loaded->path.empty());
 }
 
 TEST(CheckpointTest, CorruptNewestFallsBackToOlderValidOne) {
   std::string dir = TestDir("checkpoint_corrupt");
-  ASSERT_TRUE(WriteCheckpoint(dir, 5, "good body\n").ok());
+  ASSERT_TRUE(WriteCheckpoint(dir, 5, 0, MetaOnly("good body\n")).ok());
   // Fake a newer checkpoint with a damaged body (CRC mismatch).
   {
     std::ofstream f(dir + "/" + CheckpointFileName(9));
-    f << "caddb-checkpoint 1 9 10 deadbeef\ngarbage..\n";
+    f << "caddb-checkpoint 3 9 0 10 deadbeef\ngarbage..\n";
   }
   auto loaded = ReadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->lsn, 5u);
-  EXPECT_EQ(loaded->dump, "good body\n");
+  EXPECT_EQ(loaded->meta, "good body\n");
+}
+
+TEST(CheckpointTest, RetiredVersionsAreRejectedByName) {
+  for (int version : {1, 2}) {
+    SCOPED_TRACE(version);
+    std::string dir =
+        TestDir("checkpoint_retired_v" + std::to_string(version));
+    WriteRetiredCheckpoint(dir, version, 4);
+    auto file = ReadCheckpointFile(ListCheckpoints(dir).at(0));
+    ASSERT_FALSE(file.ok());
+    EXPECT_EQ(file.status().code(), Code::kParseError);
+    EXPECT_NE(file.status().message().find(
+                  "unsupported checkpoint version " + std::to_string(version)),
+              std::string::npos)
+        << file.status().ToString();
+    // With nothing else on disk there is no snapshot to fall back to.
+    auto newest = ReadNewestCheckpoint(dir);
+    ASSERT_FALSE(newest.ok());
+    EXPECT_NE(newest.status().message().find("unsupported checkpoint version"),
+              std::string::npos)
+        << newest.status().ToString();
+  }
+}
+
+TEST(CheckpointTest, OpenRefusesDirectoryWithOnlyRetiredCheckpoint) {
+  for (int version : {1, 2}) {
+    SCOPED_TRACE(version);
+    std::string dir =
+        TestDir("checkpoint_retired_open_v" + std::to_string(version));
+    {
+      // A log with one committed write after the retired checkpoint: the
+      // open must fail rather than replay it into an empty store.
+      auto db = Database::Open(dir);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      ASSERT_TRUE((*db)->ExecuteDdl(kPlateSchema).ok());
+      ASSERT_TRUE((*db)->Close().ok());
+    }
+    for (const CheckpointFileInfo& info : ListCheckpoints(dir)) {
+      fs::remove(info.path);
+    }
+    WriteRetiredCheckpoint(dir, version, 0);
+    auto db = Database::Open(dir);
+    ASSERT_FALSE(db.ok()) << "opened over a version-" << version
+                          << " checkpoint";
+    EXPECT_NE(db.status().message().find("unsupported checkpoint version " +
+                                         std::to_string(version)),
+              std::string::npos)
+        << db.status().ToString();
+  }
 }
 
 TEST(CheckpointTest, AllCheckpointsDamagedIsAnError) {
