@@ -31,7 +31,8 @@
 #      batched-fsync committers, the concurrent metrics/trace registry,
 #      the event-log ring + sink hammer, the shared buffer pool, the
 #      network server and replication daemons, the failpoint registry
-#      hammer, the replication fault matrix on the process-global registry)
+#      hammer, the replication fault matrix on the process-global registry,
+#      the network chaos suite driving the registry-only server counters)
 #  12. Bench build: every benchmark target must compile (incl.
 #      bench_disk_check, bench_net, the bench_obs log/history numbers)
 #  13. clang-tidy over src/ (advisory; skipped when clang-tidy is absent)
@@ -267,15 +268,15 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   build-ci/asan-ubsan/examples/caddb_soak "$SOAK_DIR/run" \
       --seed 42 --ops 400 --duration 10s
 
-step "tsan: lock manager + transaction + batched-fsync + obs registry/log + net + replication tests"
+step "tsan: lock manager + transaction + batched-fsync + obs registry/log + net + net chaos + replication tests"
 cmake -B build-ci/tsan -S . -DCADDB_WERROR=ON -DCADDB_TSAN=ON \
       "${GENERATOR_FLAGS[@]}"
 cmake --build build-ci/tsan -j "$JOBS" --target lock_manager_test txn_test \
       wal_batch_sync_test obs_test obs_log_test net_trace_test \
       buffer_pool_concurrency_test net_server_test net_daemon_test fault_test \
-      replication_test
+      fault_net_test replication_test
 ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
-      -R '^(lock_manager_test|txn_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|replication_test)$'
+      -R '^(lock_manager_test|txn_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test)$'
 
 step "bench build: all benchmark targets compile"
 cmake --build build-ci/werror -j "$JOBS" --target \

@@ -241,9 +241,9 @@ void AuditWal(VerifyPass* pass) {
     }
   }
 
-  // In-chain lsn order (strictly increasing; gaps are legal — rotation
-  // compaction drops aborted transactions' payload records) and payload
-  // decodability past the replay floor.
+  // In-chain lsn order (strictly increasing, the rule recovery enforces;
+  // like recovery, this does not flag a gap inside one segment) and
+  // payload decodability past the replay floor.
   uint64_t prev_lsn = 0;
   uint64_t max_lsn = 0;
   for (size_t i = 0; i < scan_limit; ++i) {

@@ -33,12 +33,12 @@ const SubrelDef* EffectiveSchema::FindSubrel(const std::string& name) const {
 }
 
 Catalog::Catalog(obs::Observability* obs)
-    : obs_(obs != nullptr ? obs : obs::Default()) {
+    : obs_(obs::SharedOrOwned(obs, &owned_obs_)) {
   m_cache_hits_ = obs_->metrics.GetCounter(
-      "caddb_catalog_schema_cache_hits_total",
+      kSchemaCacheHits,
       "Effective-schema cache probes that found a cached schema");
   m_cache_misses_ = obs_->metrics.GetCounter(
-      "caddb_catalog_schema_cache_misses_total",
+      kSchemaCacheMisses,
       "Effective-schema cache probes that had to compute the schema");
   m_compute_us_ = obs_->metrics.GetHistogram(
       "caddb_catalog_compute_schema_us",
@@ -226,11 +226,9 @@ Result<const EffectiveSchema*> Catalog::FindEffectiveSchema(
   std::lock_guard<std::mutex> lock(schema_cache_mu_);
   auto it = schema_cache_.find(type_name);
   if (it != schema_cache_.end()) {
-    ++schema_cache_hits_;
     m_cache_hits_->Increment();
     return &it->second;
   }
-  ++schema_cache_misses_;
   m_cache_misses_->Increment();
   std::set<std::string> in_progress;
   obs::Span span(&obs_->trace, "catalog.compute_schema", m_compute_us_,

@@ -54,8 +54,14 @@ struct EffectiveSchema {
 class Catalog : public Domain::Resolver {
  public:
   /// `obs` (not owned) receives schema-cache counters and compute timings;
-  /// null falls back to the process-global obs::Default() bundle.
+  /// null gives the catalog a private bundle (obs::SharedOrOwned).
   explicit Catalog(obs::Observability* obs = nullptr);
+
+  /// Registry names of the schema-cache counters.
+  static constexpr char kSchemaCacheHits[] =
+      "caddb_catalog_schema_cache_hits_total";
+  static constexpr char kSchemaCacheMisses[] =
+      "caddb_catalog_schema_cache_misses_total";
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
@@ -97,9 +103,10 @@ class Catalog : public Domain::Resolver {
   /// epoch at fill time and treat an epoch change as invalidation.
   uint64_t schema_epoch() const { return schema_epoch_; }
 
-  /// Schema-cache telemetry (FindEffectiveSchema/EffectiveSchemaFor probes).
-  uint64_t schema_cache_hits() const { return schema_cache_hits_; }
-  uint64_t schema_cache_misses() const { return schema_cache_misses_; }
+  /// Schema-cache telemetry (FindEffectiveSchema/EffectiveSchemaFor
+  /// probes): views of the bundle's caddb_catalog_schema_cache_* counters.
+  uint64_t schema_cache_hits() const { return m_cache_hits_->value(); }
+  uint64_t schema_cache_misses() const { return m_cache_misses_->value(); }
 
   /// Whole-catalog validation: every referenced domain/type/inher-rel
   /// resolves, `inheriting` lists name real (effective) items of the
@@ -120,19 +127,18 @@ class Catalog : public Domain::Resolver {
   /// pointers FindEffectiveSchema handed out).
   void InvalidateSchemaCache();
 
-  /// Guards schema_cache_ and its counters: resolution runs concurrently
+  /// Guards schema_cache_: resolution runs concurrently
   /// from transaction threads (LockInheritanceChain), so the lazy fill in
   /// the const FindEffectiveSchema must be synchronized. Handed-out
   /// pointers stay valid without the lock — std::map nodes are stable and
   /// only DDL registration (single-threaded by contract) clears the map.
   mutable std::mutex schema_cache_mu_;
   mutable std::map<std::string, EffectiveSchema> schema_cache_;
-  mutable uint64_t schema_cache_hits_ = 0;
-  mutable uint64_t schema_cache_misses_ = 0;
   uint64_t schema_epoch_ = 0;
 
-  /// Registry mirrors of the per-instance telemetry above, plus the
-  /// compute-effective-schema timing (rare: once per type per epoch).
+  /// Schema-cache counters plus the compute-effective-schema timing (rare:
+  /// once per type per epoch).
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;

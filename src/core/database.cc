@@ -373,13 +373,13 @@ Status Database::ExecuteDdl(const std::string& source) {
 analysis::DiagnosticBag Database::CheckSchema() const {
   const uint64_t epoch = catalog_.schema_epoch();
   if (schema_check_valid_ && schema_check_epoch_ == epoch) {
-    ++schema_analyses_skipped_;
+    m_ddl_skipped_->Increment();
     return schema_check_cache_;
   }
   schema_check_cache_ = analysis::AnalyzeSchema(catalog_);
   schema_check_epoch_ = epoch;
   schema_check_valid_ = true;
-  ++schema_analyses_run_;
+  m_ddl_run_->Increment();
   return schema_check_cache_;
 }
 

@@ -64,12 +64,18 @@ struct ReplicaInfo {
 /// single-threaded; multi-threaded access goes through transactions().
 class Database {
  public:
+  /// Registry names of the schema-analysis memo counters.
+  static constexpr char kSchemaAnalysesRun[] =
+      "caddb_ddl_schema_analyses_run_total";
+  static constexpr char kSchemaAnalysesSkipped[] =
+      "caddb_ddl_schema_analyses_skipped_total";
+
   /// `obs` (not owned; must outlive the database) redirects all metrics and
   /// traces into an external bundle; by default the database owns its own,
   /// so two databases in one process (a primary and its follower) keep
   /// separate books.
   explicit Database(obs::Observability* obs = nullptr)
-      : obs_(obs != nullptr ? obs : &owned_obs_),
+      : obs_(obs::SharedOrOwned(obs, &owned_obs_)),
         catalog_(obs_),
         store_(&catalog_),
         inheritance_(&store_, &notifications_, obs_),
@@ -89,6 +95,12 @@ class Database {
         "caddb_wal_checkpoint_pause_us",
         "Commit-blocking portion of a checkpoint (the capture critical "
         "section under the store gate)");
+    m_ddl_run_ = obs_->metrics.GetCounter(
+        kSchemaAnalysesRun,
+        "Schema analyses run (the catalog's schema epoch had changed)");
+    m_ddl_skipped_ = obs_->metrics.GetCounter(
+        kSchemaAnalysesSkipped,
+        "Schema checks answered from the memo (schema epoch unchanged)");
     // Transactions and workspaces serialize store access against checkpoint
     // capture through one database-wide gate.
     transactions_.set_store_gate(&store_gate_);
@@ -215,10 +227,11 @@ class Database {
   /// a check against a schema that has not changed since the last one
   /// returns the cached diagnostics without re-analyzing, so eager DDL
   /// validation and repeated `check schema` runs cost one analysis per
-  /// actual schema change. The counters below prove the skip.
+  /// actual schema change. The counters below (views of the bundle's
+  /// caddb_ddl_schema_analyses_* counters) prove the skip.
   analysis::DiagnosticBag CheckSchema() const;
-  uint64_t schema_analyses_run() const { return schema_analyses_run_; }
-  uint64_t schema_analyses_skipped() const { return schema_analyses_skipped_; }
+  uint64_t schema_analyses_run() const { return m_ddl_run_->value(); }
+  uint64_t schema_analyses_skipped() const { return m_ddl_skipped_->value(); }
   /// Store passes only (CAD1xx), including the resolution-cache audit.
   analysis::DiagnosticBag CheckStore() const;
   /// Both, merged and sorted — the `caddb check` entry point.
@@ -313,9 +326,11 @@ class Database {
 
   // Declared first: every subsystem below registers its instruments with
   // the bundle during construction.
-  obs::Observability owned_obs_;
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_checkpoints_;
+  obs::Counter* m_ddl_run_;
+  obs::Counter* m_ddl_skipped_;
   obs::Histogram* m_checkpoint_us_;
 
   Catalog catalog_;
@@ -371,8 +386,6 @@ class Database {
   mutable analysis::DiagnosticBag schema_check_cache_;
   mutable uint64_t schema_check_epoch_ = 0;
   mutable bool schema_check_valid_ = false;
-  mutable uint64_t schema_analyses_run_ = 0;
-  mutable uint64_t schema_analyses_skipped_ = 0;
 };
 
 }  // namespace caddb

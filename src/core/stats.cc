@@ -39,14 +39,7 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
   }
   const InheritanceManager& inheritance = db.inheritance();
   stats.cache_mode = inheritance.cache_enabled() ? "fine-grained" : "off";
-  stats.cache_hits = inheritance.cache_hits();
-  stats.cache_misses = inheritance.cache_misses();
-  stats.cache_invalidations = inheritance.cache_invalidations();
   stats.cache_entries = inheritance.cache_entries();
-  stats.schema_cache_hits = db.catalog().schema_cache_hits();
-  stats.schema_cache_misses = db.catalog().schema_cache_misses();
-  stats.schema_analyses_run = db.schema_analyses_run();
-  stats.schema_analyses_skipped = db.schema_analyses_skipped();
   const ReplicaInfo& replica = db.replica_info();
   stats.is_replica = replica.is_replica;
   stats.replica_state = replica.state;
@@ -65,6 +58,9 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
 }
 
 std::string DatabaseStats::ToString() const {
+  const auto count = [this](const char* name) {
+    return std::to_string(metrics.CounterValue(name));
+  };
   std::string out;
   out += "objects:          " +
          FormatWithCommas(static_cast<int64_t>(total_objects)) + " (" +
@@ -77,13 +73,13 @@ std::string DatabaseStats::ToString() const {
   out += "pending changes:  " + std::to_string(pending_notifications) + "\n";
   out += "resolution cache: " + cache_mode + ", " +
          std::to_string(cache_entries) + " entries; " +
-         std::to_string(cache_hits) + " hits, " +
-         std::to_string(cache_misses) + " misses, " +
-         std::to_string(cache_invalidations) + " invalidations\n";
-  out += "schema cache:     " + std::to_string(schema_cache_hits) +
-         " hits, " + std::to_string(schema_cache_misses) + " misses\n";
-  out += "schema analyses:  " + std::to_string(schema_analyses_run) +
-         " run, " + std::to_string(schema_analyses_skipped) +
+         count(InheritanceManager::kCacheHits) + " hits, " +
+         count(InheritanceManager::kCacheMisses) + " misses, " +
+         count(InheritanceManager::kCacheInvalidations) + " invalidations\n";
+  out += "schema cache:     " + count(Catalog::kSchemaCacheHits) + " hits, " +
+         count(Catalog::kSchemaCacheMisses) + " misses\n";
+  out += "schema analyses:  " + count(Database::kSchemaAnalysesRun) +
+         " run, " + count(Database::kSchemaAnalysesSkipped) +
          " skipped (epoch unchanged)\n";
   out += "schema:           " + std::to_string(object_types) +
          " object types, " + std::to_string(rel_types) + " rel types, " +
@@ -130,19 +126,20 @@ std::string DatabaseStats::ToJson() const {
   w.BeginObject();
   w.Field("mode", cache_mode);
   w.Field("entries", static_cast<uint64_t>(cache_entries));
-  w.Field("hits", cache_hits);
-  w.Field("misses", cache_misses);
-  w.Field("invalidations", cache_invalidations);
+  w.Field("hits", metrics.CounterValue(InheritanceManager::kCacheHits));
+  w.Field("misses", metrics.CounterValue(InheritanceManager::kCacheMisses));
+  w.Field("invalidations",
+          metrics.CounterValue(InheritanceManager::kCacheInvalidations));
   w.EndObject();
   w.Key("schema_cache");
   w.BeginObject();
-  w.Field("hits", schema_cache_hits);
-  w.Field("misses", schema_cache_misses);
+  w.Field("hits", metrics.CounterValue(Catalog::kSchemaCacheHits));
+  w.Field("misses", metrics.CounterValue(Catalog::kSchemaCacheMisses));
   w.EndObject();
   w.Key("schema_analyses");
   w.BeginObject();
-  w.Field("run", schema_analyses_run);
-  w.Field("skipped", schema_analyses_skipped);
+  w.Field("run", metrics.CounterValue(Database::kSchemaAnalysesRun));
+  w.Field("skipped", metrics.CounterValue(Database::kSchemaAnalysesSkipped));
   w.EndObject();
   w.Key("schema");
   w.BeginObject();

@@ -29,21 +29,11 @@ struct DatabaseStats {
   std::map<std::string, size_t> per_type;
 
   // Resolution-cache telemetry: the inheritance manager's memoization cache
-  // (mode + hit/miss/invalidation counters + live entries) and the catalog's
-  // effective-schema cache.
+  // (mode + live entries). Its hit/miss/invalidation counts, the catalog's
+  // effective-schema cache counts and the memoized-DDL-analysis counts are
+  // read from `metrics` below, the one place they are counted.
   std::string cache_mode;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_invalidations = 0;
   size_t cache_entries = 0;
-  uint64_t schema_cache_hits = 0;
-  uint64_t schema_cache_misses = 0;
-
-  // Analyzer telemetry: eager DDL validation is memoized on the catalog's
-  // schema epoch, so repeated statements against an unchanged schema skip the
-  // full AnalyzeSchema pass.
-  uint64_t schema_analyses_run = 0;
-  uint64_t schema_analyses_skipped = 0;
 
   // Replication telemetry (meaningful only when is_replica: the database is
   // the read-only product of a replication::Follower).
@@ -56,9 +46,9 @@ struct DatabaseStats {
   uint64_t replica_lag = 0;
 
   // Point-in-time copy of the database's metrics registry (every counter,
-  // gauge and histogram the subsystems registered). ToString leaves it out
-  // — the human report stays the curated summary above — but ToJson emits
-  // it in full, so `stats --format=json` is a superset of `metrics`.
+  // gauge and histogram the subsystems registered). ToString prints only
+  // the curated cache and analysis counters from it; ToJson emits it in
+  // full, so `stats --format=json` is a superset of `metrics`.
   obs::MetricsSnapshot metrics;
 
   static DatabaseStats Collect(const Database& db);

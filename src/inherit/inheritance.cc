@@ -7,15 +7,14 @@ InheritanceManager::InheritanceManager(ObjectStore* store,
                                        obs::Observability* obs)
     : store_(store),
       notifications_(notifications),
-      obs_(obs != nullptr ? obs : obs::Default()) {
+      obs_(obs::SharedOrOwned(obs, &owned_obs_)) {
   m_cache_hits_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_hits_total",
-      "Resolution-cache probes served from a valid entry");
+      kCacheHits, "Resolution-cache probes served from a valid entry");
   m_cache_misses_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_misses_total",
+      kCacheMisses,
       "Resolution-cache probes that fell through to a chain walk");
-  m_cache_invalidations_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_invalidations_total",
+  m_invalidations_ = obs_->metrics.GetCounter(
+      kCacheInvalidations,
       "Cache probes that evicted a stale entry (also counted as misses)");
   m_resolutions_ = obs_->metrics.GetCounter(
       "caddb_inherit_resolutions_total",
@@ -89,15 +88,12 @@ const T* InheritanceManager::Probe(std::map<CacheKey, CacheEntry<T>>* cache,
   auto it = cache->find(key);
   if (it != cache->end()) {
     if (EntryValid(it->second)) {
-      ++cache_hits_;
       m_cache_hits_->Increment();
       return &it->second.payload;
     }
-    ++cache_invalidations_;
-    m_cache_invalidations_->Increment();
+    m_invalidations_->Increment();
     cache->erase(it);
   }
-  ++cache_misses_;
   m_cache_misses_->Increment();
   return nullptr;
 }
@@ -420,9 +416,9 @@ void InheritanceManager::EnableCache(bool on) {
 }
 
 void InheritanceManager::ResetCacheStats() {
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  cache_invalidations_ = 0;
+  m_cache_hits_->Reset();
+  m_cache_misses_->Reset();
+  m_invalidations_->Reset();
 }
 
 }  // namespace caddb

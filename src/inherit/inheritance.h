@@ -2,6 +2,7 @@
 #define CADDB_INHERIT_INHERITANCE_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,10 +36,16 @@ class InheritanceManager {
  public:
   /// Neither pointer is owned; both must outlive the manager.
   /// `notifications` may be null (no change logging). `obs` (not owned)
-  /// receives resolution counters and trace spans; null falls back to the
-  /// process-global obs::Default() bundle.
+  /// receives resolution counters and trace spans; null gives the manager
+  /// a private bundle (obs::SharedOrOwned).
   InheritanceManager(ObjectStore* store, NotificationCenter* notifications,
                      obs::Observability* obs = nullptr);
+
+  /// Registry names of the resolution-cache counters.
+  static constexpr char kCacheHits[] = "caddb_inherit_cache_hits_total";
+  static constexpr char kCacheMisses[] = "caddb_inherit_cache_misses_total";
+  static constexpr char kCacheInvalidations[] =
+      "caddb_inherit_cache_invalidations_total";
 
   InheritanceManager(const InheritanceManager&) = delete;
   InheritanceManager& operator=(const InheritanceManager&) = delete;
@@ -88,13 +95,15 @@ class InheritanceManager {
   /// and counters survive).
   void EnableCache(bool on);
   bool cache_enabled() const { return cache_enabled_; }
-  /// Zeroes hit/miss/invalidation counters without touching the entries.
+  /// Zeroes the bundle's hit/miss/invalidation counters without touching
+  /// the entries.
   void ResetCacheStats();
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
+  /// Views of the bundle's caddb_inherit_cache_* counters.
+  uint64_t cache_hits() const { return m_cache_hits_->value(); }
+  uint64_t cache_misses() const { return m_cache_misses_->value(); }
   /// Probes that found an entry whose dependency set was out of date; the
   /// entry is evicted and the probe also counts as a miss.
-  uint64_t cache_invalidations() const { return cache_invalidations_; }
+  uint64_t cache_invalidations() const { return m_invalidations_->value(); }
   size_t cache_entries() const {
     return attr_cache_.size() + subclass_cache_.size();
   }
@@ -158,17 +167,13 @@ class InheritanceManager {
   mutable std::map<CacheKey, CacheEntry<Value>> attr_cache_;
   mutable std::map<CacheKey, CacheEntry<std::vector<Surrogate>>>
       subclass_cache_;
-  mutable uint64_t cache_hits_ = 0;
-  mutable uint64_t cache_misses_ = 0;
-  mutable uint64_t cache_invalidations_ = 0;
 
-  /// Registry mirrors of the per-instance counters above (the members stay
-  /// authoritative for ResetCacheStats / per-database queries; the registry
-  /// view is monotone across resets), plus the trace-gated resolve timing.
+  /// Cache and resolution counters, plus the trace-gated resolve timing.
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
-  obs::Counter* m_cache_invalidations_;
+  obs::Counter* m_invalidations_;
   obs::Counter* m_resolutions_;
   obs::Histogram* m_resolve_us_;
 };

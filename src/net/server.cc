@@ -29,6 +29,9 @@ struct Server::Session {
   /// Created on first request (under the execution lock); carries the
   /// session's schema-block state and sticky ship target.
   std::unique_ptr<shell::Dispatcher> dispatcher;
+  /// Set (under the execution lock) once the session ran `quit`: a request
+  /// a worker picks up after that is dropped, not served.
+  bool quit = false;
   /// Serializes frame writes: worker responses and reader sheds interleave.
   std::mutex write_mu;
   std::thread reader_thread;
@@ -67,16 +70,19 @@ uint64_t Server::NowUs() const {
 Server::Server(Database* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
-      obs_(options_.obs != nullptr ? options_.obs
-                                   : (db != nullptr ? db->observability()
-                                                    : nullptr)) {
-  static obs::Observability fallback_obs;
-  if (obs_ == nullptr) obs_ = &fallback_obs;
+      obs_(obs::SharedOrOwned(
+          options_.obs != nullptr
+              ? options_.obs
+              : (db != nullptr ? db->observability() : nullptr),
+          &owned_obs_)) {
   obs::MetricsRegistry& m = obs_->metrics;
   m_connections_ =
       m.GetGauge("caddb_net_connections", "Active client connections");
   m_connections_total_ = m.GetCounter("caddb_net_connections_total",
                                       "Connections accepted since start");
+  m_connections_rejected_ = m.GetCounter(
+      "caddb_net_connections_rejected_total",
+      "Connections refused by admission control (max_connections)");
   m_bytes_in_ =
       m.GetCounter("caddb_net_bytes_in_total", "Bytes read from clients");
   m_bytes_out_ =
@@ -206,7 +212,7 @@ void Server::AcceptLoop() {
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       if (sessions_.size() >= options_.max_connections) {
-        connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+        m_connections_rejected_->Increment();
       } else {
         session = std::make_shared<Session>();
         session->id = next_session_id_++;
@@ -232,7 +238,6 @@ void Server::AcceptLoop() {
       accepted->Close();
       continue;
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     m_connections_total_->Increment();
     m_connections_->Add(1);
     // Store the handle under sessions_mu_ so a reader that exits instantly
@@ -253,7 +258,6 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
     Result<size_t> n = session->sock.Recv(buf, sizeof(buf));
     if (!n.ok() || *n == 0) break;
     session->bytes_in.fetch_add(*n, std::memory_order_relaxed);
-    bytes_in_.fetch_add(*n, std::memory_order_relaxed);
     m_bytes_in_->Increment(*n);
     if (!sniffed) {
       // Same-port HTTP: the frame magic starts "CADF", a scrape starts
@@ -269,7 +273,6 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
       const Status fed = decoder.Feed(sniff.data(), sniff.size());
       sniff.clear();
       if (!fed.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         m_protocol_errors_->Increment();
         CADDB_LOG(&obs_->log, obs::LogLevel::kWarn, "net",
                   "session " + std::to_string(session->id) +
@@ -280,7 +283,6 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
     } else {
       const Status fed = decoder.Feed(buf, *n);
       if (!fed.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         m_protocol_errors_->Increment();
         CADDB_LOG(&obs_->log, obs::LogLevel::kWarn, "net",
                   "session " + std::to_string(session->id) +
@@ -322,7 +324,6 @@ void Server::HandleFrame(const std::shared_ptr<Session>& session,
     std::string ns;
     const Status decoded = DecodeHelloPayload(frame.payload, &requested, &ns);
     if (!decoded.ok()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       m_protocol_errors_->Increment();
       WriteFrame(session, FrameType::kProtocolError, decoded.ToString());
       session->sock.ShutdownBoth();
@@ -348,7 +349,6 @@ void Server::HandleFrame(const std::shared_ptr<Session>& session,
     return;
   }
   if (frame.type != FrameType::kRequest) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError,
                "protocol error: unexpected frame type " +
@@ -361,14 +361,12 @@ void Server::HandleFrame(const std::shared_ptr<Session>& session,
   obs::TraceContext ctx;
   const Status decoded = DecodeRequestPayload(frame.payload, &id, &line, &ctx);
   if (!decoded.ok()) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError, decoded.ToString());
     session->sock.ShutdownBoth();
     return;
   }
   if (!session->hello_done.load(std::memory_order_acquire)) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError,
                "protocol error: request before hello");
@@ -446,6 +444,7 @@ void Server::Execute(const Request& request) {
   obs::TraceContext server_ctx;
   {
     std::lock_guard<std::mutex> exec(exec_mu_);
+    if (session->quit) return;
     Database* db = CurrentDb();
     if (db == nullptr) {
       shed = true;
@@ -477,6 +476,7 @@ void Server::Execute(const Request& request) {
       std::ostringstream out;
       const size_t errors_before = session->dispatcher->error_count();
       quit = !session->dispatcher->ExecuteLine(request.line, out);
+      session->quit = quit;
       error = session->dispatcher->error_count() > errors_before;
       output = out.str();
     }
@@ -486,7 +486,6 @@ void Server::Execute(const Request& request) {
     return;
   }
   session->requests.fetch_add(1, std::memory_order_relaxed);
-  requests_.fetch_add(1, std::memory_order_relaxed);
   m_requests_->Increment();
   // Echo this request's server-side context only to clients that sent
   // context themselves — old clients would misread the extension as text.
@@ -505,7 +504,6 @@ void Server::WriteFrame(const std::shared_ptr<Session>& session,
   const Status sent = session->sock.SendAll(frame.data(), frame.size());
   if (sent.ok()) {
     session->bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-    bytes_out_.fetch_add(frame.size(), std::memory_order_relaxed);
     m_bytes_out_->Increment(frame.size());
   }
 }
@@ -513,7 +511,6 @@ void Server::WriteFrame(const std::shared_ptr<Session>& session,
 void Server::Shed(const std::shared_ptr<Session>& session, uint64_t id,
                   const std::string& reason) {
   session->sheds.fetch_add(1, std::memory_order_relaxed);
-  sheds_.fetch_add(1, std::memory_order_relaxed);
   m_sheds_->Increment();
   CADDB_LOG(&obs_->log, obs::LogLevel::kInfo, "net",
             "shed request " + std::to_string(id) + " on session " +
@@ -533,7 +530,6 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
     Result<size_t> n = session->sock.Recv(buf, sizeof(buf));
     if (!n.ok() || *n == 0) break;
     session->bytes_in.fetch_add(*n, std::memory_order_relaxed);
-    bytes_in_.fetch_add(*n, std::memory_order_relaxed);
     m_bytes_in_->Increment(*n);
     head.append(buf, *n);
   }
@@ -560,7 +556,6 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
   if (path == "/metrics") {
-    scrapes_.fetch_add(1, std::memory_order_relaxed);
     m_scrapes_->Increment();
     // The exact bytes of the shell's `metrics --format=prom`.
     body = obs::RenderPrometheus(obs_->metrics.Snapshot());
@@ -569,7 +564,6 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
     // Counter rates + current gauges over ?window= milliseconds, from the
     // metrics-history ring (caddb_server runs the snapshotter; embedders
     // Tick() themselves). `samples` < 2 means the ring cannot answer yet.
-    scrapes_.fetch_add(1, std::memory_order_relaxed);
     m_scrapes_->Increment();
     uint64_t window_ms = 10000;
     const size_t w = query.find("window=");
@@ -597,7 +591,6 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
   const Status sent = session->sock.SendAll(response.data(), response.size());
   if (sent.ok()) {
     session->bytes_out.fetch_add(response.size(), std::memory_order_relaxed);
-    bytes_out_.fetch_add(response.size(), std::memory_order_relaxed);
     m_bytes_out_->Increment(response.size());
   }
 }
@@ -606,17 +599,15 @@ ServerStats Server::stats() const {
   ServerStats stats;
   stats.address = address();
   stats.port = port_;
-  stats.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
+  stats.connections_accepted = m_connections_total_->value();
+  stats.connections_rejected = m_connections_rejected_->value();
   stats.queue_capacity = options_.queue_capacity;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.sheds = sheds_.load(std::memory_order_relaxed);
-  stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  stats.scrapes = scrapes_.load(std::memory_order_relaxed);
-  stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  stats.requests = m_requests_->value();
+  stats.sheds = m_sheds_->value();
+  stats.protocol_errors = m_protocol_errors_->value();
+  stats.scrapes = m_scrapes_->value();
+  stats.bytes_in = m_bytes_in_->value();
+  stats.bytes_out = m_bytes_out_->value();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stats.queue_depth = queue_.size();

@@ -61,8 +61,8 @@ struct ServerOptions {
   /// Follower reports into (caddb_server wires exactly that).
   int64_t max_replica_lag = -1;
   /// Metrics/trace bundle for the net instruments (and the scrape path
-  /// before a follower's first rebuild). Defaults to the database's bundle;
-  /// must outlive the server.
+  /// before a follower's first rebuild). Defaults to the database's bundle,
+  /// or a private one when `db` is null; must outlive the server.
   obs::Observability* obs = nullptr;
   /// Per-request deadline: a request that has waited in the queue longer
   /// than this when a worker picks it up is shed ("deadline exceeded")
@@ -94,6 +94,8 @@ struct SessionInfo {
   double bytes_out_per_sec = 0;
 };
 
+/// Server-wide counters are views of the bundle's caddb_net_* counters;
+/// the per-session numbers above are the sessions' own.
 struct ServerStats {
   std::string address;   // "127.0.0.1:4217"
   uint16_t port = 0;
@@ -188,6 +190,7 @@ class Server {
 
   Database* db_;
   ServerOptions options_;
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   uint16_t port_ = 0;
 
@@ -212,18 +215,10 @@ class Server {
   std::condition_variable queue_cv_;
   std::deque<Request> queue_;
 
-  // Lifetime counters (sessions_mu_ for the non-atomic ones).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> sheds_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> scrapes_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-
+  /// The counters stats() reports.
   obs::Gauge* m_connections_;
   obs::Counter* m_connections_total_;
+  obs::Counter* m_connections_rejected_;
   obs::Counter* m_bytes_in_;
   obs::Counter* m_bytes_out_;
   obs::Counter* m_requests_;

@@ -97,6 +97,11 @@ const CounterSample* MetricsSnapshot::FindCounter(
   return nullptr;
 }
 
+uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
+  const CounterSample* sample = FindCounter(name);
+  return sample != nullptr ? sample->value : 0;
+}
+
 const GaugeSample* MetricsSnapshot::FindGauge(const std::string& name) const {
   for (const GaugeSample& s : gauges) {
     if (s.name == name) return &s;

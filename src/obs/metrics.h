@@ -113,6 +113,8 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 
   const CounterSample* FindCounter(const std::string& name) const;
+  /// The named counter's value; 0 when it was never registered.
+  uint64_t CounterValue(const std::string& name) const;
   const GaugeSample* FindGauge(const std::string& name) const;
   const HistogramSample* FindHistogram(const std::string& name) const;
 };

@@ -1,6 +1,8 @@
 #ifndef CADDB_OBS_OBSERVABILITY_H_
 #define CADDB_OBS_OBSERVABILITY_H_
 
+#include <memory>
+
 #include "obs/history.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -13,7 +15,7 @@ namespace obs {
 /// metrics registry, one tracer, one structured event log, and one
 /// metrics-history ring. A Database owns its own bundle (so two databases
 /// in one process — e.g. a primary and its follower — keep separate
-/// books); free-standing components fall back to Default().
+/// books); see SharedOrOwned for components built without one.
 struct Observability {
   MetricsRegistry metrics;
   Tracer trace;
@@ -26,11 +28,16 @@ struct Observability {
   }
 };
 
-/// Process-global fallback bundle for components constructed without an
-/// explicit Observability (direct Wal users, tests). Never null.
-inline Observability* Default() {
-  static Observability* global = new Observability();
-  return global;
+/// The one fallback rule for every instrumented component: report into
+/// `shared` when the caller passed a bundle, otherwise into a private
+/// bundle created in `*owned` (which the component keeps for its
+/// lifetime). So two standalone components never see each other's counts,
+/// and a component's counter views always read its own bundle.
+inline Observability* SharedOrOwned(Observability* shared,
+                                    std::unique_ptr<Observability>* owned) {
+  if (shared != nullptr) return shared;
+  *owned = std::make_unique<Observability>();
+  return owned->get();
 }
 
 }  // namespace obs

@@ -124,7 +124,8 @@ class Tracer {
 /// allocation. Pass a Histogram to also record the duration; with
 /// `always_time` the clock runs (and the histogram fills) even while
 /// tracing is off, which is reserved for inherently expensive operations
-/// (fsync, checkpoint, ship, rebuild, recovery, lock waits).
+/// (fsync, checkpoint, ship, rebuild, recovery, lock waits) and for the
+/// WAL's wal.append and wal.commit spans.
 class Span {
  public:
   // Inline so the disabled path compiles down to a relaxed load and a

@@ -41,9 +41,9 @@ Follower::Follower(std::string replica_dir, FollowerOptions options)
                       ? (fs::path(replica_dir_) / ".staged").string()
                       : options.staged_dir),
       options_(std::move(options)) {
-  obs_ = options_.obs != nullptr ? options_.obs
-         : options_.durability.wal.obs != nullptr ? options_.durability.wal.obs
-                                                  : obs::Default();
+  obs_ = obs::SharedOrOwned(
+      options_.obs != nullptr ? options_.obs : options_.durability.wal.obs,
+      &owned_obs_);
   // Rebuilt read-only databases (and the promotion open) report into the
   // follower's bundle rather than each rebuild getting a fresh one.
   if (options_.durability.wal.obs == nullptr) {
@@ -461,6 +461,9 @@ Result<std::unique_ptr<Database>> Follower::Promote() {
   db_.reset();  // release the read-only view of the staged directory
   wal::DurabilityOptions durability = options_.durability;
   durability.fingerprint_lsn = 0;
+  // A private follower bundle dies with the follower; the promoted
+  // primary outlives it, so it gets a bundle of its own.
+  if (owned_obs_ != nullptr) durability.wal.obs = nullptr;
   // The full open: final replay, fsck, a fresh checkpoint in a new log
   // generation, truncation — after this the staged directory is a
   // first-class primary durability directory.

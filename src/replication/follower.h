@@ -50,7 +50,7 @@ struct FollowerOptions {
   wal::DurabilityOptions durability;
   /// Metrics/trace bundle for the follower AND every database it rebuilds
   /// (not owned; must outlive the follower). Null falls back to
-  /// durability.wal.obs, then to the process-global obs::Default().
+  /// durability.wal.obs, then to a private bundle (obs::SharedOrOwned).
   obs::Observability* obs = nullptr;
 };
 
@@ -158,6 +158,7 @@ class Follower {
   const std::string staged_dir_;
   FollowerOptions options_;
 
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_polls_;
   obs::Counter* m_rebuilds_;

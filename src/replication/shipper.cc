@@ -19,7 +19,8 @@ Shipper::Shipper(Database* db, std::string replica_dir,
                  ShipperOptions options)
     : db_(db), replica_dir_(std::move(replica_dir)),
       options_(std::move(options)),
-      obs_(db != nullptr ? db->observability() : obs::Default()) {
+      obs_(obs::SharedOrOwned(db != nullptr ? db->observability() : nullptr,
+                              &owned_obs_)) {
   m_attempts_ = obs_->metrics.GetCounter(
       "caddb_replication_ship_attempts_total",
       "Shipment attempts (including ones an injected fault swallowed)");
@@ -251,14 +252,6 @@ Result<ShipmentReport> Shipper::ShipNow() {
     }
   }
   return report;
-}
-
-wal::SegmentCloseHook Shipper::MakeCloseHook() {
-  return [this](const wal::ClosedSegment&) {
-    // Shipment failures are self-healing on the next attempt; rotation on
-    // the primary must not fail because the replica directory hiccuped.
-    (void)ShipNow();
-  };
 }
 
 }  // namespace replication

@@ -2,13 +2,13 @@
 #define CADDB_REPLICATION_SHIPPER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "fault/failpoint.h"
 #include "obs/observability.h"
 #include "replication/manifest.h"
 #include "util/result.h"
-#include "wal/wal.h"
 
 namespace caddb {
 
@@ -46,10 +46,9 @@ struct ShipmentReport {
 /// referenced (truncated segments, superseded checkpoints) are deleted
 /// after the new manifest is durable.
 ///
-/// Wire `MakeCloseHook()` into WalOptions::segment_close_hook to ship
-/// whenever size rotation closes a segment; call ShipNow() directly for
-/// time-based or manual shipping (`ship` in the shell). Single-threaded
-/// like the Database it serves.
+/// Call ShipNow() for time-based or manual shipping (`ship` in the shell;
+/// replication::AutoShipper on a timer). Single-threaded like the Database
+/// it serves.
 class Shipper {
  public:
   /// `db` must outlive the Shipper and have been opened durably.
@@ -62,11 +61,6 @@ class Shipper {
   /// not the shipper failing.
   Result<ShipmentReport> ShipNow();
 
-  /// A WalOptions::segment_close_hook that ships on every size rotation
-  /// (shipment errors are swallowed there — the next attempt self-heals;
-  /// rotation must not fail because the replica directory hiccuped).
-  wal::SegmentCloseHook MakeCloseHook();
-
   uint64_t attempts() const { return attempts_; }
   const std::string& replica_dir() const { return replica_dir_; }
 
@@ -74,7 +68,8 @@ class Shipper {
   Database* db_;
   const std::string replica_dir_;
   const ShipperOptions options_;
-  /// The primary database's bundle (obs::Default() when db is null).
+  /// The primary database's bundle (a private one when db is null).
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_attempts_;
   obs::Counter* m_files_;

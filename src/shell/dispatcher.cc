@@ -1039,8 +1039,8 @@ bool Dispatcher::ExecuteLine(const std::string& line, std::ostream& out) {
       w.Key("log");
       w.BeginObject();
       w.Field("dir", stats.dir);
-      w.Field("sync_policy", wal::SyncPolicyName(db_->wal()->policy()));
-      w.Field("last_lsn", db_->wal()->last_lsn());
+      w.Field("sync_policy", wal::SyncPolicyName(stats.policy));
+      w.Field("last_lsn", stats.last_lsn);
       w.Field("synced_lsn", stats.synced_lsn);
       w.Field("segment_start_lsn", stats.segment_start_lsn);
       w.Field("records_appended", stats.records_appended);
@@ -1048,10 +1048,6 @@ bool Dispatcher::ExecuteLine(const std::string& line, std::ostream& out) {
       w.Field("fsyncs", stats.fsyncs);
       w.Field("segments_created", stats.segments_created);
       w.Field("bytes_appended", stats.bytes_appended);
-      w.Field("size_rotations", stats.size_rotations);
-      w.Field("compactions", stats.compactions);
-      w.Field("compaction_bytes_reclaimed",
-              stats.compaction_bytes_reclaimed);
       w.EndObject();
       w.Key("recovery");
       w.BeginObject();
@@ -1074,8 +1070,6 @@ bool Dispatcher::ExecuteLine(const std::string& line, std::ostream& out) {
       return true;
     }
     out << "log:        " << db_->wal()->stats().ToString() << "\n";
-    out << "sync:       " << wal::SyncPolicyName(db_->wal()->policy()) << "\n";
-    out << "last lsn:   " << db_->wal()->last_lsn() << "\n";
     out << "recovery:   " << db_->recovery_report().ToString() << "\n";
     return true;
   }

@@ -80,7 +80,10 @@ namespace shell {
 ///   log level <debug|info|warn|error|off>   runtime level change
 ///   cache [off|fine|on|reset-stats]   resolution-cache mode & stats
 ///   dump <path> | load <path>
-///   wal status [--format=json]   log/recovery telemetry (durable only)
+///   wal status [--format=json]   log/recovery telemetry (durable only):
+///       dir, sync policy, last/synced lsn, live segment, the log's counters
+///       (records, commit points, bytes, fsyncs, segments created — the
+///       caddb_wal_* registry counters) and the last recovery report
 ///   checkpoint            snapshot + truncate the log (durable only)
 ///   storage status [--format=json]   paged-store/buffer-pool telemetry
 ///   server status [--format=json]    network listener telemetry (sessions,

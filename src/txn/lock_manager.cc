@@ -10,7 +10,7 @@ const char* LockModeName(LockMode mode) {
 }
 
 LockManager::LockManager(const Catalog* catalog, obs::Observability* obs)
-    : catalog_(catalog), obs_(obs != nullptr ? obs : obs::Default()) {
+    : catalog_(catalog), obs_(obs::SharedOrOwned(obs, &owned_obs_)) {
   m_acquires_ = obs_->metrics.GetCounter("caddb_lock_acquires_total",
                                          "Lock acquisitions granted");
   m_waits_ = obs_->metrics.GetCounter(

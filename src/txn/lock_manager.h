@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -53,8 +54,8 @@ struct LockItem {
 class LockManager {
  public:
   /// `catalog` is used to compare exported item sets; not owned. `obs` (not
-  /// owned) receives lock counters and wait timings; null falls back to the
-  /// process-global obs::Default() bundle.
+  /// owned) receives lock counters and wait timings; null gives the manager
+  /// a private bundle (obs::SharedOrOwned).
   explicit LockManager(const Catalog* catalog,
                        obs::Observability* obs = nullptr);
 
@@ -98,6 +99,7 @@ class LockManager {
 
   const Catalog* catalog_;
 
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_acquires_;
   obs::Counter* m_waits_;

@@ -123,16 +123,6 @@ Status FailpointFile::Sync() {
 
 Status FailpointFile::Close() { return base_->Close(); }
 
-FileFactory FailpointFactory(uint64_t fail_after) {
-  return [fail_after](const std::string& path)
-             -> Result<std::unique_ptr<WritableFile>> {
-    CADDB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
-                           OpenWritableFile(path));
-    return std::unique_ptr<WritableFile>(
-        new FailpointFile(std::move(base), fail_after));
-  };
-}
-
 std::string EncodeFrame(uint64_t lsn, const std::string& payload) {
   std::string lsn_bytes;
   PutU64(&lsn_bytes, lsn);

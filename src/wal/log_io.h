@@ -43,7 +43,8 @@ class WritableFile {
 Result<std::unique_ptr<WritableFile>> OpenWritableFile(
     const std::string& path);
 
-/// Hook for tests and fault injection: how the Wal opens segment files.
+/// How AtomicWriteFile opens its temp file (a fault-injection seam for
+/// tests).
 using FileFactory =
     std::function<Result<std::unique_ptr<WritableFile>>(const std::string&)>;
 
@@ -70,9 +71,6 @@ class FailpointFile : public WritableFile {
   uint64_t budget_;
   bool triggered_ = false;
 };
-
-/// Convenience factory: open a real file and cut it at `fail_after` bytes.
-FileFactory FailpointFactory(uint64_t fail_after);
 
 // ---- Frame encoding / decoding ----
 

@@ -211,8 +211,9 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
   if (db->store().size() != 0 || !db->catalog().ObjectTypeNames().empty()) {
     return FailedPrecondition("Recover requires an empty database");
   }
-  obs::Observability* obs =
-      options.wal.obs != nullptr ? options.wal.obs : obs::Default();
+  // The database being rebuilt owns (or adopted) the bundle recovery
+  // reports into.
+  obs::Observability* obs = db->observability();
   obs->metrics
       .GetCounter("caddb_recovery_runs_total", "Recovery passes started")
       ->Increment();
@@ -256,9 +257,10 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
   report.last_lsn = checkpoint.lsn;
   const uint64_t replay_floor = checkpoint.replay_floor();
 
-  // 2. Scan: every valid frame past the checkpoint, in lsn order. With
-  // size-based rotation the log is a *chain* of segments, so segment seams
-  // are verified before anything is trusted: a non-final segment must end
+  // 2. Scan: every valid frame past the checkpoint, in lsn order. A
+  // transaction left open across checkpoints keeps the segments back to
+  // its begin, so the log is a *chain* of segments and segment seams are
+  // verified before anything is trusted: a non-final segment must end
   // cleanly exactly one lsn before its successor starts. Only the chain's
   // effective tail may be torn (a crash mid-append) or empty (a crashed
   // rotation created the file and died before appending — including the

@@ -15,8 +15,7 @@ namespace wal {
 
 /// Durability knobs for Database::Open.
 struct DurabilityOptions {
-  /// Sync policy and fault-injection hooks for the log opened after
-  /// recovery.
+  /// Sync policy and obs bundle for the log opened after recovery.
   WalOptions wal;
   /// Run the store-integrity analysis (Database::CheckStore) at the end of
   /// recovery, so a replay that produced an inconsistent store fails Open
@@ -75,8 +74,9 @@ struct RecoveryReport {
   /// Chained CRC32C over the (lsn, payload) of every record this pass
   /// applied, in lsn order. Two recoveries that applied the same committed
   /// operations from the same bytes agree on it; two histories that
-  /// diverged do not (with CRC32C confidence). Compaction never changes it:
-  /// it only drops records replay skips anyway.
+  /// diverged do not (with CRC32C confidence). Records replay skips
+  /// (uncommitted or aborted transactions, checkpoint-covered lsns) never
+  /// enter it.
   uint32_t applied_fingerprint = 0;
   /// Separate fingerprint chain over the records a recovery cut at
   /// DurabilityOptions::fingerprint_lsn would have applied: record lsn
@@ -96,7 +96,7 @@ struct RecoveryReport {
 /// the public Database API, so every schema/domain/binding/cycle invariant
 /// is re-validated; surrogates are re-assigned and remapped exactly like a
 /// dump load. Does not open a Wal — Database::Open does that afterwards,
-/// always into a fresh segment.
+/// always into a fresh segment. Reports into `db`'s obs bundle.
 Result<RecoveryReport> Recover(const std::string& dir, Database* db,
                                const DurabilityOptions& options);
 

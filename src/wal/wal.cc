@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "fault/failpoint.h"
-#include "wal/compaction.h"
 
 namespace caddb {
 namespace wal {
@@ -44,10 +43,6 @@ std::string WalStats::ToString() const {
          std::to_string(bytes_appended) + " bytes\n";
   out += "fsyncs:        " + std::to_string(fsyncs) + " over " +
          std::to_string(segments_created) + " segment(s)\n";
-  out += "rotation:      " + std::to_string(size_rotations) +
-         " size rotation(s), " + std::to_string(compactions) +
-         " compaction(s), " + std::to_string(compaction_bytes_reclaimed) +
-         " bytes reclaimed\n";
   return out;
 }
 
@@ -81,7 +76,7 @@ std::vector<SegmentFileInfo> ListSegments(const std::string& dir) {
 Wal::Wal(std::string dir, WalOptions options, uint64_t next_lsn)
     : dir_(std::move(dir)),
       options_(std::move(options)),
-      obs_(options_.obs != nullptr ? options_.obs : obs::Default()),
+      obs_(obs::SharedOrOwned(options_.obs, &owned_obs_)),
       next_lsn_(next_lsn) {
   synced_lsn_ = next_lsn_ - 1;
   m_appends_ = obs_->metrics.GetCounter("caddb_wal_appends_total",
@@ -93,6 +88,9 @@ Wal::Wal(std::string dir, WalOptions options, uint64_t next_lsn)
                                        "fsync calls on the live segment");
   m_bytes_ = obs_->metrics.GetCounter("caddb_wal_bytes_appended_total",
                                       "Encoded frame bytes appended");
+  m_segments_ = obs_->metrics.GetCounter(
+      "caddb_wal_segments_total",
+      "Segment files created (one at open, one per checkpoint rotation)");
   m_fsync_us_ = obs_->metrics.GetHistogram(
       "caddb_wal_fsync_us", "fsync latency (in-line and syncer-thread)");
   m_commits_per_fsync_ = obs_->metrics.GetHistogram(
@@ -101,7 +99,8 @@ Wal::Wal(std::string dir, WalOptions options, uint64_t next_lsn)
       {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
   m_append_us_ = obs_->metrics.GetHistogram(
       "caddb_wal_append_us",
-      "Append latency; recorded only while tracing is enabled");
+      "Append and commit latency (us), recorded whether or not tracing is "
+      "enabled");
 }
 
 Wal::~Wal() {
@@ -140,46 +139,35 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
 Status Wal::OpenSegmentLocked(uint64_t start_lsn) {
   const std::string path =
       (fs::path(dir_) / SegmentFileName(start_lsn)).string();
-  Result<std::unique_ptr<WritableFile>> file =
-      options_.file_factory ? options_.file_factory(path)
-                            : OpenWritableFile(path);
-  if (!file.ok()) return file.status();
-  // Registry-armed byte cut (`fault arm wal.file.cut cut=N`): the unified
-  // form of the FailpointFactory crash matrix — the new segment silently
-  // loses every byte past the budget and its fsyncs lie.
+  CADDB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                         OpenWritableFile(path));
+  // Registry-armed byte cut (`fault arm wal.file.cut cut=N`), the crash
+  // matrix's simulated crash: the new segment silently loses every byte
+  // past the budget and its fsyncs lie.
   fault::FiredAction cut;
   if (fault::Hit(fault::sites::kWalFileCut, &cut) &&
       cut.kind == fault::ActionKind::kCut) {
-    file = Result<std::unique_ptr<WritableFile>>(
-        std::unique_ptr<WritableFile>(
-            new FailpointFile(std::move(*file), cut.arg)));
+    file = std::make_unique<FailpointFile>(std::move(file), cut.arg);
   }
-  file_ = std::move(*file);
-  segment_path_ = path;
+  file_ = std::move(file);
   segment_start_lsn_ = start_lsn;
-  segment_bytes_written_ = 0;
-  ++stats_.segments_created;
+  m_segments_->Increment();
   // Make the (empty) segment's directory entry durable so recovery sees a
   // clean new segment rather than nothing.
   return SyncDir(dir_);
 }
 
-Status Wal::AppendLocked(std::unique_lock<std::mutex>& lock,
-                         const Record& record, uint64_t* lsn_out) {
+Result<uint64_t> Wal::AppendLocked(std::unique_lock<std::mutex>& lock,
+                                   const Record& record) {
   rotate_done_cv_.wait(lock, [&] { return !rotating_ || closed_; });
   if (closed_) return FailedPrecondition("wal is closed");
   if (!sync_error_.ok()) return sync_error_;
   uint64_t lsn = next_lsn_++;
   std::string frame = EncodeFrame(lsn, record.Encode());
   CADDB_RETURN_IF_ERROR(file_->Append(frame));
-  ++stats_.records_appended;
-  stats_.bytes_appended += frame.size();
   m_appends_->Increment();
   m_bytes_->Increment(frame.size());
-  segment_bytes_written_ += frame.size();
-  stats_.last_lsn = lsn;
-  if (lsn_out != nullptr) *lsn_out = lsn;
-  return OkStatus();
+  return lsn;
 }
 
 void Wal::RequestSyncLocked(uint64_t target) {
@@ -205,15 +193,17 @@ Status Wal::SyncFileLocked() {
     return s;
   }
   synced_lsn_ = target;
-  stats_.synced_lsn = synced_lsn_;
-  ++stats_.fsyncs;
+  CountFsyncLocked();
+  sync_done_cv_.notify_all();
+  return OkStatus();
+}
+
+void Wal::CountFsyncLocked() {
   m_fsyncs_->Increment();
   if (commits_since_fsync_ > 0) {
     m_commits_per_fsync_->Record(commits_since_fsync_);
     commits_since_fsync_ = 0;
   }
-  sync_done_cv_.notify_all();
-  return OkStatus();
 }
 
 Status Wal::SyncLocked(std::unique_lock<std::mutex>& lock) {
@@ -232,13 +222,6 @@ Status Wal::SyncLocked(std::unique_lock<std::mutex>& lock) {
   // In-line path (also taken during rotation, when the syncer stands down).
   sync_done_cv_.wait(lock, [&] { return !sync_in_flight_; });
   return SyncFileLocked();
-}
-
-Status Wal::CommitSyncLocked(std::unique_lock<std::mutex>& lock) {
-  ++stats_.commits;
-  m_commits_->Increment();
-  ++commits_since_fsync_;
-  return CommitPolicyLocked(lock);
 }
 
 Status Wal::CommitPolicyLocked(std::unique_lock<std::mutex>& lock) {
@@ -273,44 +256,33 @@ Status Wal::CommitPolicyLocked(std::unique_lock<std::mutex>& lock) {
 }
 
 Result<uint64_t> Wal::Append(const Record& record) {
-  obs::Span span(&obs_->trace, "wal.append", m_append_us_);
-  std::vector<ClosedSegment> closed;
-  uint64_t lsn = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    CADDB_RETURN_IF_ERROR(AppendLocked(lock, record, &lsn));
-    CADDB_RETURN_IF_ERROR(MaybeRotateBySizeLocked(lock));
-    closed.swap(pending_closed_);
-  }
-  FireCloseHook(std::move(closed));
-  return lsn;
+  obs::Span span(&obs_->trace, "wal.append", m_append_us_,
+                 /*always_time=*/true);
+  std::unique_lock<std::mutex> lock(mu_);
+  return AppendLocked(lock, record);
 }
 
 Status Wal::AppendCommit(const Record& record) {
-  obs::Span span(&obs_->trace, "wal.commit", m_append_us_);
-  std::vector<ClosedSegment> closed;
-  Status result;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    CADDB_RETURN_IF_ERROR(AppendLocked(lock, record, nullptr));
-    // The committing thread's open trace (the wal.commit span above, with
-    // its net.request/client ancestry) — the shipper's manifest stamp.
-    last_commit_ctx_ = obs_->trace.CurrentContext();
-    result = CommitSyncLocked(lock);
-    if (result.ok()) result = MaybeRotateBySizeLocked(lock);
-    closed.swap(pending_closed_);
-  }
-  FireCloseHook(std::move(closed));
-  return result;
+  obs::Span span(&obs_->trace, "wal.commit", m_append_us_,
+                 /*always_time=*/true);
+  std::unique_lock<std::mutex> lock(mu_);
+  CADDB_RETURN_IF_ERROR(AppendCommitLocked(lock, record).status());
+  return CommitPolicyLocked(lock);
 }
 
 Result<uint64_t> Wal::AppendCommitRecord(const Record& record) {
-  obs::Span span(&obs_->trace, "wal.commit", m_append_us_);
+  obs::Span span(&obs_->trace, "wal.commit", m_append_us_,
+                 /*always_time=*/true);
   std::unique_lock<std::mutex> lock(mu_);
-  uint64_t lsn = 0;
-  CADDB_RETURN_IF_ERROR(AppendLocked(lock, record, &lsn));
+  return AppendCommitLocked(lock, record);
+}
+
+Result<uint64_t> Wal::AppendCommitLocked(std::unique_lock<std::mutex>& lock,
+                                         const Record& record) {
+  CADDB_ASSIGN_OR_RETURN(const uint64_t lsn, AppendLocked(lock, record));
+  // The committing thread's open trace (the wal.commit span, with its
+  // net.request/client ancestry) — the shipper's manifest stamp.
   last_commit_ctx_ = obs_->trace.CurrentContext();
-  ++stats_.commits;
   m_commits_->Increment();
   ++commits_since_fsync_;
   return lsn;
@@ -322,17 +294,9 @@ obs::TraceContext Wal::last_commit_context() const {
 }
 
 Status Wal::FinishCommit() {
-  std::vector<ClosedSegment> closed;
-  Status result;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return FailedPrecondition("wal is closed");
-    result = CommitPolicyLocked(lock);
-    if (result.ok()) result = MaybeRotateBySizeLocked(lock);
-    closed.swap(pending_closed_);
-  }
-  FireCloseHook(std::move(closed));
-  return result;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (closed_) return FailedPrecondition("wal is closed");
+  return CommitPolicyLocked(lock);
 }
 
 Status Wal::Sync() {
@@ -340,20 +304,9 @@ Status Wal::Sync() {
   return SyncLocked(lock);
 }
 
-Status Wal::MaybeRotateBySizeLocked(std::unique_lock<std::mutex>& lock) {
-  if (options_.segment_bytes == 0 ||
-      segment_bytes_written_ < options_.segment_bytes || rotating_) {
-    return OkStatus();
-  }
-  ++stats_.size_rotations;
-  CADDB_LOG(&obs_->log, obs::LogLevel::kInfo, "wal",
-            "size rotation at lsn " + std::to_string(next_lsn_ - 1) + " (" +
-                std::to_string(segment_bytes_written_) + " bytes)");
-  return RotateLocked(lock, /*truncate=*/false);
-}
-
-Status Wal::RotateLocked(std::unique_lock<std::mutex>& lock, bool truncate,
-                         uint64_t retain_from) {
+Status Wal::RotateAndTruncate(uint64_t retain_from) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (closed_) return FailedPrecondition("wal is closed");
   // Stand the syncer down and block new appends, then drain any in-flight
   // fsync: after this, the segment's bytes are stable and nobody touches
   // the file descriptor we are about to close.
@@ -369,67 +322,30 @@ Status Wal::RotateLocked(std::unique_lock<std::mutex>& lock, bool truncate,
   CADDB_RETURN_IF_ERROR(SyncFileLocked());
   unsynced_commits_ = 0;
   CADDB_RETURN_IF_ERROR(file_->Close());
-  const std::string old_path = segment_path_;
   const uint64_t old_start = segment_start_lsn_;
-  const uint64_t old_last = next_lsn_ - 1;
-  const bool old_nonempty = old_last >= old_start;
-
-  if (!truncate && old_nonempty) {
-    ClosedSegment info{old_path, old_start, old_last};
-    if (options_.compact_on_rotate) {
-      Result<CompactionResult> compacted = CompactClosedSegment(old_path);
-      // Compaction is an optimization; a failure to rewrite must not take
-      // down the log. The uncompacted segment replays identically.
-      if (compacted.ok() && compacted->rewritten) {
-        ++stats_.compactions;
-        stats_.compaction_bytes_reclaimed += compacted->bytes_reclaimed();
-      }
-    }
-    pending_closed_.push_back(std::move(info));
-  }
-
   CADDB_RETURN_IF_ERROR(OpenSegmentLocked(next_lsn_));
-  if (truncate) {
-    // Rotation-with-truncation happens only at checkpoints. A segment may
-    // be deleted once every record in it is covered by the published
-    // checkpoint AND precedes retain_from (the oldest lsn a transaction
-    // spanning the checkpoint may still need replayed); a segment's
-    // records end where the next segment begins.
-    std::vector<SegmentFileInfo> segments = ListSegments(dir_);
-    for (size_t i = 0; i < segments.size(); ++i) {
-      const SegmentFileInfo& segment = segments[i];
-      if (segment.start_lsn > old_start ||
-          segment.start_lsn == segment_start_lsn_) {
-        continue;
-      }
-      const uint64_t next_start = i + 1 < segments.size()
-                                      ? segments[i + 1].start_lsn
-                                      : next_lsn_;
-      if (retain_from != 0 && next_start > retain_from) continue;
-      std::error_code ec;
-      fs::remove(segment.path, ec);
-      if (ec) {
-        return InternalError("cannot remove old segment '" + segment.path +
-                             "': " + ec.message());
-      }
+  // A segment may be deleted once every record in it is covered by the
+  // published checkpoint AND precedes retain_from (the oldest lsn a
+  // transaction spanning the checkpoint may still need replayed); a
+  // segment's records end where the next segment begins.
+  std::vector<SegmentFileInfo> segments = ListSegments(dir_);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentFileInfo& segment = segments[i];
+    if (segment.start_lsn > old_start ||
+        segment.start_lsn == segment_start_lsn_) {
+      continue;
+    }
+    const uint64_t next_start =
+        i + 1 < segments.size() ? segments[i + 1].start_lsn : next_lsn_;
+    if (retain_from != 0 && next_start > retain_from) continue;
+    std::error_code ec;
+    fs::remove(segment.path, ec);
+    if (ec) {
+      return InternalError("cannot remove old segment '" + segment.path +
+                           "': " + ec.message());
     }
   }
   return SyncDir(dir_);
-}
-
-Status Wal::RotateAndTruncate() { return RotateAndTruncate(0); }
-
-Status Wal::RotateAndTruncate(uint64_t retain_from_lsn) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return FailedPrecondition("wal is closed");
-  return RotateLocked(lock, /*truncate=*/true, retain_from_lsn);
-}
-
-void Wal::FireCloseHook(std::vector<ClosedSegment> closed) {
-  if (!options_.segment_close_hook) return;
-  for (const ClosedSegment& segment : closed) {
-    options_.segment_close_hook(segment);
-  }
 }
 
 void Wal::SyncerLoop() {
@@ -465,16 +381,8 @@ void Wal::SyncerLoop() {
     } else {
       // Rotation waits for !sync_in_flight_ before swapping file_, so the
       // descriptor we synced is still the live segment.
-      if (target > synced_lsn_) {
-        synced_lsn_ = target;
-        stats_.synced_lsn = synced_lsn_;
-      }
-      ++stats_.fsyncs;
-      m_fsyncs_->Increment();
-      if (commits_since_fsync_ > 0) {
-        m_commits_per_fsync_->Record(commits_since_fsync_);
-        commits_since_fsync_ = 0;
-      }
+      if (target > synced_lsn_) synced_lsn_ = target;
+      CountFsyncLocked();
     }
     sync_done_cv_.notify_all();
   }
@@ -509,10 +417,16 @@ uint64_t Wal::last_lsn() const {
 }
 
 WalStats Wal::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  WalStats out = stats_;
+  WalStats out;
   out.dir = dir_;
   out.policy = options_.sync;
+  // Every increment happens under mu_, so this is a consistent snapshot.
+  std::lock_guard<std::mutex> lock(mu_);
+  out.records_appended = m_appends_->value();
+  out.commits = m_commits_->value();
+  out.fsyncs = m_fsyncs_->value();
+  out.segments_created = m_segments_->value();
+  out.bytes_appended = m_bytes_->value();
   out.segment_start_lsn = segment_start_lsn_;
   out.synced_lsn = synced_lsn_;
   out.last_lsn = next_lsn_ - 1;

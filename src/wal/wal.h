@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,40 +40,12 @@ enum class SyncPolicy {
 const char* SyncPolicyName(SyncPolicy policy);
 Result<SyncPolicy> SyncPolicyFromName(const std::string& name);
 
-/// A segment that was closed by size-based rotation (not by checkpoint
-/// truncation, which deletes the closed files immediately). The replication
-/// shipper hangs off this via WalOptions::segment_close_hook.
-struct ClosedSegment {
-  std::string path;
-  uint64_t start_lsn = 0;
-  uint64_t last_lsn = 0;  // lsn of the segment's final record
-};
-
-using SegmentCloseHook = std::function<void(const ClosedSegment&)>;
-
 struct WalOptions {
   SyncPolicy sync = SyncPolicy::kAlways;
   /// kBatch: fsync after this many unsynced commits...
   size_t batch_commits = 32;
   /// ...or once the oldest unsynced commit is this old.
   uint64_t batch_interval_us = 1000;
-  /// How segment files are opened — tests swap in FailpointFactory to
-  /// simulate crashes at arbitrary byte offsets. Null means real files.
-  FileFactory file_factory;
-  /// Rotate to a fresh segment once the live one reaches this many bytes
-  /// (0 = segments only rotate at checkpoints). Size-closed segments stay
-  /// on disk until the next checkpoint truncates them; recovery replays
-  /// across the whole chain and verifies lsn continuity at every seam.
-  uint64_t segment_bytes = 0;
-  /// Rewrite size-closed segments dropping the payload records of
-  /// transactions that aborted within the segment (their Begin/Abort
-  /// markers stay, so replay analysis and segment-seam lsns are
-  /// unaffected). Reclaimed bytes show up in WalStats / `wal status`.
-  bool compact_on_rotate = true;
-  /// Called after a segment is closed (and compacted) by size rotation.
-  /// Runs on the appending thread with the Wal mutex released, so the hook
-  /// may call back into the Wal (the replication shipper does).
-  SegmentCloseHook segment_close_hook;
   /// Move fsyncs to a dedicated syncer thread: committers enqueue their
   /// target lsn and wait (SyncPolicy::kAlways) or continue
   /// (kBatch/kNone); one fsync then acknowledges every commit buffered
@@ -84,12 +55,14 @@ struct WalOptions {
   /// every later commit/sync reports it.
   bool batched_fsync = false;
   /// Metrics/trace bundle the log reports into (not owned; must outlive the
-  /// Wal). Null falls back to the process-global obs::Default() bundle.
+  /// Wal). Null gives the Wal a private bundle (obs::SharedOrOwned).
   /// Database::Open injects the database's own bundle here.
   obs::Observability* obs = nullptr;
 };
 
-/// Point-in-time counters for `wal status` and the benchmarks.
+/// Point-in-time view for `wal status` and the benchmarks: the log's
+/// position, plus the counters of its bundle's caddb_wal_* registry
+/// entries (the only place those events are counted).
 struct WalStats {
   std::string dir;
   SyncPolicy policy = SyncPolicy::kAlways;
@@ -101,9 +74,6 @@ struct WalStats {
   uint64_t fsyncs = 0;
   uint64_t segments_created = 0;
   uint64_t bytes_appended = 0;
-  uint64_t size_rotations = 0;    // segments closed because they grew full
-  uint64_t compactions = 0;       // size-closed segments that were rewritten
-  uint64_t compaction_bytes_reclaimed = 0;
 
   std::string ToString() const;
 };
@@ -121,10 +91,11 @@ std::vector<SegmentFileInfo> ListSegments(const std::string& dir);
 std::string SegmentFileName(uint64_t start_lsn);
 
 /// The append side of the write-ahead log: length-prefixed CRC32C-framed
-/// records in numbered segment files, group-commit batching, rotation and
-/// truncation at checkpoints. Thread-safe — the transaction manager appends
-/// from concurrent committers; one fsync then covers every record buffered
-/// before it (group commit).
+/// records in numbered segment files, group-commit batching, and rotation
+/// with truncation at checkpoints (the only time a segment closes).
+/// Thread-safe — the transaction manager appends from concurrent
+/// committers; one fsync then covers every record buffered before it
+/// (group commit).
 ///
 /// The Wal never reads its own files; recovery (wal/recovery.h) scans
 /// segments independently before a Wal is opened for the new process, and
@@ -157,8 +128,8 @@ class Wal {
   /// gate (so checkpoint capture observes marker-lsn assignment and
   /// active-set changes atomically), releases the gate, then waits for
   /// durability. AppendCommitRecord appends the marker and counts the
-  /// commit point, returning its lsn; FinishCommit applies the sync policy
-  /// and any pending size rotation. AppendCommit is the fused form.
+  /// commit point, returning its lsn; FinishCommit applies the sync policy.
+  /// AppendCommit is the fused form.
   Result<uint64_t> AppendCommitRecord(const Record& record);
   Status FinishCommit();
 
@@ -166,17 +137,15 @@ class Wal {
   Status Sync();
 
   /// Syncs and switches to a fresh segment starting at last_lsn() + 1, then
-  /// deletes every older segment — called by checkpointing after the
-  /// snapshot covering those records has been atomically published.
-  Status RotateAndTruncate();
-
-  /// As above, but retains every segment holding records at or above
-  /// `retain_from_lsn`: a segment is deleted only when the following
-  /// segment starts at or below that lsn (so all its records precede it).
-  /// Incremental checkpoints pass the oldest lsn recovery may still need —
-  /// the begin lsn of the oldest transaction spanning the checkpoint.
-  /// 0 means no retention constraint (same as the no-argument form).
-  Status RotateAndTruncate(uint64_t retain_from_lsn);
+  /// deletes older segments — called by checkpointing after the snapshot
+  /// covering those records has been atomically published. Every segment
+  /// holding records at or above `retain_from_lsn` is retained: a segment
+  /// is deleted only when the following segment starts at or below that
+  /// lsn (so all its records precede it). Incremental checkpoints pass the
+  /// oldest lsn recovery may still need — the begin lsn of the oldest
+  /// transaction spanning the checkpoint. 0 deletes every older segment.
+  /// This is the only place a segment closes.
+  Status RotateAndTruncate(uint64_t retain_from_lsn = 0);
 
   /// Syncs and closes the live segment. The Wal is unusable afterwards.
   Status Close();
@@ -192,7 +161,6 @@ class Wal {
 
   uint64_t last_lsn() const;
   const std::string& dir() const { return dir_; }
-  SyncPolicy policy() const { return options_.sync; }
   WalStats stats() const;
 
   /// Trace context captured from the committing thread at the most recent
@@ -205,52 +173,43 @@ class Wal {
   Wal(std::string dir, WalOptions options, uint64_t next_lsn);
 
   Status OpenSegmentLocked(uint64_t start_lsn);
-  Status AppendLocked(std::unique_lock<std::mutex>& lock, const Record& record,
-                      uint64_t* lsn_out);
-  /// Applies the commit-time sync policy (shared tail of AppendCommit).
-  Status CommitSyncLocked(std::unique_lock<std::mutex>& lock);
-  /// The sync-policy switch alone (no commit counting): the deferred half
-  /// of the split commit.
+  Result<uint64_t> AppendLocked(std::unique_lock<std::mutex>& lock,
+                                const Record& record);
+  /// Appends a commit marker and counts the commit point: the one place
+  /// commits are counted, shared by AppendCommit and AppendCommitRecord.
+  Result<uint64_t> AppendCommitLocked(std::unique_lock<std::mutex>& lock,
+                                      const Record& record);
+  /// The commit-time sync-policy switch: FinishCommit's body.
   Status CommitPolicyLocked(std::unique_lock<std::mutex>& lock);
   /// Makes everything appended so far durable — in-line fsync, or a
   /// request + wait on the syncer thread when batched_fsync is on.
   Status SyncLocked(std::unique_lock<std::mutex>& lock);
   /// In-line fsync of the live file; requires no syncer fsync in flight.
   Status SyncFileLocked();
+  /// Counts one completed fsync and the commit points it made durable.
+  void CountFsyncLocked();
   /// Asks the syncer thread to cover lsns through `target`.
   void RequestSyncLocked(uint64_t target);
-  /// Closes the live segment and opens a fresh one at next_lsn_. With
-  /// `truncate`, deletes older segments — all of them when `retain_from`
-  /// is 0, else only those entirely below it (checkpoint path); without,
-  /// compacts the closed segment and queues it for the close hook (size
-  /// rotation).
-  Status RotateLocked(std::unique_lock<std::mutex>& lock, bool truncate,
-                      uint64_t retain_from = 0);
-  /// Size-rotation trigger, called after a successful append.
-  Status MaybeRotateBySizeLocked(std::unique_lock<std::mutex>& lock);
-  /// Drains pending_closed_ into the close hook; call with mu_ released.
-  void FireCloseHook(std::vector<ClosedSegment> closed);
   void SyncerLoop();
 
   const std::string dir_;
   const WalOptions options_;
 
-  /// Registry mirrors of WalStats (which stays authoritative for
-  /// `wal status`), plus the fsync/group-commit timings.
+  /// The counters WalStats reports, plus the fsync/group-commit timings.
+  std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;
   obs::Counter* m_appends_;
   obs::Counter* m_commits_;
   obs::Counter* m_fsyncs_;
   obs::Counter* m_bytes_;
+  obs::Counter* m_segments_;
   obs::Histogram* m_fsync_us_;
   obs::Histogram* m_commits_per_fsync_;
-  obs::Histogram* m_append_us_;  // trace-gated (hot path)
+  obs::Histogram* m_append_us_;
   uint64_t commits_since_fsync_ = 0;
 
   mutable std::mutex mu_;
   std::unique_ptr<WritableFile> file_;
-  std::string segment_path_;
-  uint64_t segment_bytes_written_ = 0;
   uint64_t next_lsn_;
   uint64_t segment_start_lsn_ = 0;
   uint64_t synced_lsn_ = 0;
@@ -259,8 +218,6 @@ class Wal {
   bool closed_ = false;
   uint64_t next_group_txn_ = (1ull << 62) + 1;
   obs::TraceContext last_commit_ctx_;  // guarded by mu_
-  WalStats stats_{};
-  std::vector<ClosedSegment> pending_closed_;  // awaiting the close hook
 
   // Batched-fsync machinery (idle unless options_.batched_fsync).
   std::thread syncer_;

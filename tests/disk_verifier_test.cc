@@ -23,6 +23,7 @@
 
 #include "analysis/diagnostics.h"
 #include "core/database.h"
+#include "fault/failpoint.h"
 #include "replication/manifest.h"
 #include "shell/shell.h"
 #include "storage/heap_record.h"
@@ -329,9 +330,16 @@ TEST(DiskVerifierTest, TornWalTailVerifiesWithZeroErrorsAndPlansRepair) {
   // matrix uses, exactly a SIGKILL mid-append.
   const std::string dir = TestDir("wal_crash");
   {
-    wal::DurabilityOptions options;
-    options.wal.file_factory = wal::FailpointFactory(600);
-    auto db = Database::Open(dir, options);
+    // Disarms on every exit, so the cut never reaches a later case.
+    struct DisarmOnExit {
+      ~DisarmOnExit() { fault::FailpointRegistry::Global().DisarmAll(); }
+    } disarm;
+    // Hit 1 is the segment Wal::Open creates; hit 2 is the live segment
+    // Open's checkpoint rotates to, which gets the 600-byte budget.
+    ASSERT_TRUE(fault::FailpointRegistry::Global()
+                    .ArmFromString("wal.file.cut cut=600 --skip=1 --times=1")
+                    .ok());
+    auto db = Database::Open(dir);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_TRUE((*db)->ExecuteDdl(kSchema).ok());
     for (int i = 0; i < 20; ++i) {

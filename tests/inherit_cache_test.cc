@@ -256,10 +256,16 @@ TEST_F(InheritCacheTest, StatsExposeCacheCounters) {
 
   DatabaseStats stats = DatabaseStats::Collect(db_);
   EXPECT_EQ(stats.cache_mode, "fine-grained");
-  EXPECT_EQ(stats.cache_hits, inh().cache_hits());
-  EXPECT_EQ(stats.cache_misses, inh().cache_misses());
+  // The report snapshots this database's own bundle.
+  EXPECT_EQ(stats.metrics.CounterValue("caddb_inherit_cache_hits_total"),
+            inh().cache_hits());
+  EXPECT_EQ(stats.metrics.CounterValue("caddb_inherit_cache_misses_total"),
+            inh().cache_misses());
+  EXPECT_GT(inh().cache_hits(), 0u);
   EXPECT_EQ(stats.cache_entries, inh().cache_entries());
-  EXPECT_GT(stats.schema_cache_hits, 0u);
+  EXPECT_GT(
+      stats.metrics.CounterValue("caddb_catalog_schema_cache_hits_total"),
+      0u);
   EXPECT_NE(stats.ToString().find("resolution cache"), std::string::npos);
   EXPECT_NE(stats.ToString().find("schema cache"), std::string::npos);
 }

@@ -1,24 +1,29 @@
 // The observability layer on its own: metrics registry (counters, gauges,
 // fixed-bucket histograms with percentile extraction), the trace ring and
 // slow-op log, span nesting and observers, the Prometheus/JSON exposition
-// renderers and the structural Prometheus validator, and thread-safety of
-// concurrent recording (the TSan target in ci/check.sh runs this file).
+// renderers and the structural Prometheus validator, thread-safety of
+// concurrent recording (the TSan target in ci/check.sh runs this file), and
+// the one-counter-store rule: components count only into their bundle.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/database.h"
+#include "ddl/parser.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
 #include "shell/shell.h"
 #include "util/json_writer.h"
+#include "wal/wal.h"
 
 namespace caddb {
 namespace obs {
@@ -520,6 +525,58 @@ TEST(ExpositionTest, FirstBucketPercentilesInShellTextAndJson) {
                       "\"p50\":0,\"p95\":0,\"p99\":0"),
             std::string::npos)
       << json;
+}
+
+// ---- One counter store: each component counts into its bundle ----
+
+std::string TestDir(const std::string& name) {
+  const auto dir = std::filesystem::current_path() / "obs_test_tmp" / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+TEST(BundleTest, WalAppendAndCommitLatencyIsTimedWithTracingOff) {
+  Observability bundle;
+  ASSERT_FALSE(bundle.trace.enabled());
+  wal::WalOptions options;
+  options.sync = wal::SyncPolicy::kNone;
+  options.obs = &bundle;
+  auto log = wal::Wal::Open(TestDir("append_us"), options, 1);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE((*log)->Append(wal::Record::Begin(1)).ok());
+  ASSERT_TRUE((*log)->AppendCommit(wal::Record::Commit(1)).ok());
+  ASSERT_TRUE((*log)->AppendCommitRecord(wal::Record::Commit(2)).ok());
+  ASSERT_TRUE((*log)->FinishCommit().ok());
+  EXPECT_EQ(bundle.metrics.GetHistogram("caddb_wal_append_us")->count(), 3u);
+  EXPECT_EQ(bundle.trace.total_spans(), 0u);
+  ASSERT_TRUE((*log)->Close().ok());
+}
+
+TEST(BundleTest, StandaloneWalsKeepSeparateCounts) {
+  auto a = wal::Wal::Open(TestDir("wal_a"), {}, 1);
+  auto b = wal::Wal::Open(TestDir("wal_b"), {}, 1);
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (uint64_t txn = 1; txn <= 3; ++txn) {
+    ASSERT_TRUE((*a)->AppendCommit(wal::Record::Commit(txn)).ok());
+  }
+  ASSERT_TRUE((*b)->AppendCommit(wal::Record::Commit(1)).ok());
+  EXPECT_EQ((*a)->stats().commits, 3u);
+  EXPECT_EQ((*b)->stats().commits, 1u);
+  EXPECT_EQ((*b)->stats().records_appended, 1u);
+}
+
+TEST(BundleTest, StandaloneCatalogsKeepSeparateCounts) {
+  Catalog a;
+  Catalog b;
+  const char* kSchema = "obj-type Plate = attributes: T: integer; end Plate;";
+  ASSERT_TRUE(ddl::Parser::ParseSchema(kSchema, &a).ok());
+  ASSERT_TRUE(ddl::Parser::ParseSchema(kSchema, &b).ok());
+  const uint64_t b_probes = b.schema_cache_hits() + b.schema_cache_misses();
+  const uint64_t a_hits = a.schema_cache_hits();
+  ASSERT_TRUE(a.EffectiveSchemaFor("Plate").ok());
+  ASSERT_TRUE(a.EffectiveSchemaFor("Plate").ok());
+  EXPECT_GE(a.schema_cache_hits(), a_hits + 1);
+  EXPECT_EQ(b.schema_cache_hits() + b.schema_cache_misses(), b_probes);
 }
 
 }  // namespace

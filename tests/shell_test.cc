@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
+#include <thread>
 
 #include "net/client.h"
 #include "net/server.h"
@@ -517,6 +519,88 @@ TEST(ShellNetTest, ServerStatusReportsListenerQueueAndSessions) {
   EXPECT_NE(text.find("\"connections_accepted\":1"), std::string::npos);
   EXPECT_NE(text.find("\"sessions\":[{\"id\":1"), std::string::npos) << text;
   EXPECT_NE(text.find("\"read_only\":false"), std::string::npos);
+}
+
+TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
+  // One set of counters: after a wire workload, every counter that
+  // `wal status`, `stats` and `server status` print equals the registry
+  // counter of the same database's bundle.
+  const std::string dir = ::testing::TempDir() + "/shell_one_counter_set";
+  std::filesystem::remove_all(dir);
+  auto db = Database::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->ExecuteDdl(
+                      "obj-type Top = attributes: A: integer; end Top;"
+                      "inher-rel-type R = transmitter: object-of-type Top;"
+                      "  inheritor: object; inheriting: A; end R;"
+                      "obj-type Mid = inheritor-in: R; end Mid;")
+                  .ok());
+  auto server = net::Server::Start(db->get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  {
+    auto client = net::Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    for (const char* line :
+         {"create Top", "create Mid", "set @1 A i:7", "bind @2 @1 R",
+          "cache on", "get @2 A", "get @2 A", "set @1 A i:8", "get @2 A"}) {
+      std::string output;
+      bool command_error = false;
+      ASSERT_TRUE((*client)->Execute(line, &output, &command_error).ok());
+      ASSERT_FALSE(command_error) << line << ": " << output;
+    }
+  }
+  // Quiesce: the closed session's reader and worker are done counting.
+  for (int i = 0; i < 200 && (*server)->stats().sessions_active > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ((*server)->stats().sessions_active, 0u);
+
+  Shell shell(db->get());
+  shell.AttachServer(server->get());
+  std::istringstream in(
+      "wal status --format=json\n"
+      "stats --format=json\n"
+      "server status --format=json\n");
+  std::ostringstream out;
+  shell.Run(in, out);
+  ASSERT_EQ(shell.error_count(), 0u) << out.str();
+  const std::string text = out.str();
+  const obs::MetricsSnapshot registry =
+      (*db)->observability()->metrics.Snapshot();
+  // Rows: the JSON object holding the key (for server status, its first
+  // key), the key, the registry counter.
+  for (const char* row :
+       {"log records_appended caddb_wal_appends_total",
+        "log commits caddb_wal_commits_total",
+        "log fsyncs caddb_wal_fsyncs_total",
+        "log segments_created caddb_wal_segments_total",
+        "log bytes_appended caddb_wal_bytes_appended_total",
+        "resolution_cache hits caddb_inherit_cache_hits_total",
+        "resolution_cache misses caddb_inherit_cache_misses_total",
+        "resolution_cache invalidations "
+        "caddb_inherit_cache_invalidations_total",
+        "schema_cache hits caddb_catalog_schema_cache_hits_total",
+        "schema_cache misses caddb_catalog_schema_cache_misses_total",
+        "address connections_accepted caddb_net_connections_total",
+        "address connections_rejected caddb_net_connections_rejected_total",
+        "address requests caddb_net_requests_total",
+        "address sheds caddb_net_sheds_total",
+        "address protocol_errors caddb_net_protocol_errors_total",
+        "address scrapes caddb_net_scrapes_total",
+        "address bytes_in caddb_net_bytes_in_total",
+        "address bytes_out caddb_net_bytes_out_total"}) {
+    std::istringstream fields(row);
+    std::string section, key, counter;
+    fields >> section >> key >> counter;
+    const size_t at = text.find("\"" + key + "\":",
+                                text.find("\"" + section + "\":"));
+    ASSERT_NE(at, std::string::npos) << row << " in " << text;
+    EXPECT_EQ(std::stoull(text.substr(at + key.size() + 3)),
+              registry.CounterValue(counter))
+        << row;
+  }
+  EXPECT_EQ(registry.CounterValue("caddb_net_requests_total"), 9u);
+  EXPECT_GT(registry.CounterValue("caddb_inherit_cache_hits_total"), 0u);
 }
 
 }  // namespace

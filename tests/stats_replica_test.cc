@@ -2,7 +2,7 @@
 // block in all three follower conditions (caught-up, catching-up with a
 // non-zero replica_lag, quarantined), its JSON rendering, and the metrics
 // snapshot a follower-built database carries (every rebuild reports into
-// the follower's one bundle).
+// the follower's one bundle, so its counts accumulate across rebuilds).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "core/database.h"
 #include "core/paper_schemas.h"
 #include "core/stats.h"
+#include "obs/exposition.h"
 #include "replication/follower.h"
 #include "replication/manifest.h"
 #include "replication/shipper.h"
@@ -173,6 +174,52 @@ TEST(StatsReplicaTest, QuarantinedFollowerDatabase) {
   EXPECT_EQ(quarantines->value, 1u);
   const std::string json = stats.ToJson();
   EXPECT_NE(json.find("quarantined (CAD201)"), std::string::npos);
+  ASSERT_TRUE((*primary)->Close().ok());
+}
+
+TEST(StatsReplicaTest, CacheCountsAccumulateAcrossRebuilds) {
+  const std::string primary_dir = TestDir("cumulative_primary");
+  const std::string replica_dir = TestDir("cumulative_replica");
+  auto primary = Database::Open(primary_dir);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesBase).ok());
+  ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesInterfaces).ok());
+  const Surrogate iface = (*primary)->CreateObject("GateInterface").value();
+  const Surrogate impl =
+      (*primary)->CreateObject("GateImplementation").value();
+  ASSERT_TRUE((*primary)->Bind(impl, iface, "AllOf_GateInterface").ok());
+  Shipper shipper(primary->get(), replica_dir);
+  obs::Observability bundle;  // what caddb_server scrapes in follower mode
+  FollowerOptions options = FastFollowerOptions();
+  options.obs = &bundle;
+  Follower follower(replica_dir, options);
+  obs::Counter* hits =
+      bundle.metrics.GetCounter("caddb_inherit_cache_hits_total");
+  uint64_t hits_after_first_poll = 0;
+  for (int64_t length = 1; length <= 2; ++length) {
+    ASSERT_TRUE((*primary)->Set(iface, "Length", Value::Int(length)).ok());
+    // Checkpointed, so the replica's surrogates are the primary's.
+    ASSERT_TRUE((*primary)->Checkpoint().ok());
+    ASSERT_TRUE(shipper.ShipNow().ok());
+    auto poll = follower.Poll();
+    ASSERT_TRUE(poll.ok() && poll->advanced);
+    follower.db()->inheritance().EnableCache(true);
+    for (int read = 0; read < 2; ++read) {
+      EXPECT_EQ(follower.db()->Get(impl, "Length")->AsInt(), length);
+    }
+    if (length == 1) hits_after_first_poll = hits->value();
+  }
+  ASSERT_GT(hits_after_first_poll, 0u);
+  EXPECT_GT(hits->value(), hits_after_first_poll);
+  EXPECT_EQ(follower.db()->inheritance().cache_hits(), hits->value());
+  // `stats` on the current rebuild and the /metrics scrape agree.
+  const std::string total = std::to_string(hits->value());
+  EXPECT_NE(DatabaseStats::Collect(*follower.db()).ToString().find(
+                "entries; " + total + " hits"),
+            std::string::npos);
+  EXPECT_NE(obs::RenderPrometheus(bundle.metrics.Snapshot())
+                .find("caddb_inherit_cache_hits_total " + total + "\n"),
+            std::string::npos);
   ASSERT_TRUE((*primary)->Close().ok());
 }
 

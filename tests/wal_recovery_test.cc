@@ -15,6 +15,7 @@
 
 #include "core/database.h"
 #include "core/paper_schemas.h"
+#include "fault/failpoint.h"
 #include "persist/dump.h"
 #include "versions/selection.h"
 #include "wal/checkpoint.h"
@@ -363,18 +364,28 @@ TEST(RecoveryMatrixTest, AcknowledgedButLostWritesRecoverToADurablePrefix) {
     ASSERT_TRUE((*db)->Close().ok());
   }
 
-  // Second pass: the wal itself writes through FailpointFactory — the
-  // kernel "acknowledges" every byte past the budget and drops it. The
-  // workload keeps succeeding; recovery must land on the durability point
-  // covered by the bytes that actually survived. The record stream is
-  // deterministic, so the oracle byte offsets carry over.
+  // Second pass: the wal's live segment is cut by the `wal.file.cut`
+  // failpoint — the kernel "acknowledges" every byte past the budget and
+  // drops it. The workload keeps succeeding; recovery must land on the
+  // durability point covered by the bytes that actually survived. The
+  // record stream is deterministic, so the oracle byte offsets carry over.
   for (uint64_t budget : {uint64_t{0}, uint64_t{97}, total_bytes / 3,
                           total_bytes / 2, total_bytes + 1000}) {
     const std::string dir = TestDir("failpoint_live");
     {
+      // Disarms on every exit, so the cut never reaches a later case.
+      struct DisarmOnExit {
+        ~DisarmOnExit() { fault::FailpointRegistry::Global().DisarmAll(); }
+      } disarm;
+      // Hit 1 is the segment Wal::Open creates; hit 2 is the live segment
+      // Open's checkpoint rotates to, which the workload writes.
+      ASSERT_TRUE(fault::FailpointRegistry::Global()
+                      .ArmFromString("wal.file.cut cut=" +
+                                     std::to_string(budget) +
+                                     " --skip=1 --times=1")
+                      .ok());
       DurabilityOptions options;
       options.wal.sync = SyncPolicy::kAlways;  // sync lies after the trigger
-      options.wal.file_factory = FailpointFactory(budget);
       auto db = Database::Open(dir, options);
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       Status workload = RunScriptedWorkload((*db).get(), [] {});
@@ -480,11 +491,15 @@ std::string CloneDir(const std::string& src, const std::string& name) {
   return dst;
 }
 
-/// A rotated multi-segment durability directory (closed, not reopened),
-/// with the live run's final dump. Built once per test via segment_bytes
-/// small enough that the scripted workload rotates several times.
+/// A multi-segment durability directory (closed, not reopened), with the
+/// live run's dump at the newest checkpoint and at the end. Segments close
+/// only at checkpoints, and a checkpoint deletes every segment its snapshot
+/// covers, so the chain comes from a transaction held open across several
+/// checkpoints: its begin record pins every segment from its own onward
+/// until it commits, after the last checkpoint.
 struct RotatedLog {
   std::string dir;
+  std::string checkpoint_dump;
   std::string live_dump;
   uint64_t last_lsn = 0;
 };
@@ -494,16 +509,34 @@ RotatedLog BuildRotatedLog(const std::string& name) {
   log.dir = TestDir(name);
   DurabilityOptions options;
   options.wal.sync = SyncPolicy::kNone;
-  options.wal.segment_bytes = 4096;
   auto db = Database::Open(log.dir, options);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  Status workload = RunScriptedWorkload((*db).get(), [] {});
+  // The spanning transaction writes an object the workload never touches,
+  // rewriting its committed value: whether that write is rolled back or
+  // committed, the state is the same, so a dump taken at a checkpoint is
+  // also what recovery from that checkpoint must rebuild.
+  EXPECT_TRUE(
+      (*db)->ExecuteDdl("obj-type Anchor = attributes: N: integer; end Anchor;")
+          .ok());
+  const Surrogate anchor = (*db)->CreateObject("Anchor").value();
+  EXPECT_TRUE((*db)->Set(anchor, "N", Value::Int(1)).ok());
+  const TxnId spanning = (*db)->transactions().Begin("eve").value();
+  EXPECT_TRUE(
+      (*db)->transactions().Write(spanning, anchor, "N", Value::Int(1)).ok());
+  size_t marks = 0;
+  Status workload = RunScriptedWorkload((*db).get(), [&] {
+    if (++marks % 50 == 0 && marks <= 150) {
+      EXPECT_TRUE((*db)->Checkpoint().ok());
+      log.checkpoint_dump = CanonicalDump(**db);
+    }
+  });
   EXPECT_TRUE(workload.ok()) << workload.ToString();
+  EXPECT_TRUE((*db)->transactions().Commit(spanning).ok());
   log.live_dump = CanonicalDump(**db);
   log.last_lsn = (*db)->wal()->last_lsn();
   EXPECT_TRUE((*db)->Close().ok());
   EXPECT_GT(ListSegments(log.dir).size(), 2u)
-      << "workload no longer rotates; shrink segment_bytes";
+      << "the spanning transaction no longer pins segments";
   return log;
 }
 
@@ -632,26 +665,13 @@ TEST(RecoveryRotationCrashTest, MissingMiddleSegmentIsFatal) {
 }
 
 TEST(RecoveryRotationCrashTest, MissingOldestSegmentIsFatal) {
-  // The anchor check needs a real checkpoint (lsn != 0): checkpoint
-  // mid-history, rotate a couple more segments past it, then lose the
-  // oldest surviving segment — the one that connects chain to checkpoint.
+  // The newest checkpoint (lsn != 0) was taken while the spanning
+  // transaction was open, so replay must start at its begin record, in the
+  // oldest segment. Losing that segment — the one that connects chain to
+  // checkpoint — must fail.
   RotatedLog log = BuildRotatedLog("rotation_gap_oldest");
-  {
-    DurabilityOptions options;
-    options.wal.sync = SyncPolicy::kNone;
-    options.wal.segment_bytes = 4096;
-    auto db = Database::Open(log.dir, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    ASSERT_TRUE((*db)->Checkpoint().ok());
-    Result<Surrogate> gate = (*db)->CreateObject("SimpleGate");
-    ASSERT_TRUE(gate.ok()) << gate.status().ToString();
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE((*db)->Set(*gate, "Length", Value::Int(i)).ok());
-    }
-    ASSERT_TRUE((*db)->Close().ok());
-  }
+  ASSERT_NE(ListCheckpoints(log.dir).back().lsn, 0u);
   std::vector<SegmentFileInfo> segments = ListSegments(log.dir);
-  ASSERT_GT(segments.size(), 1u) << "writes no longer rotate past checkpoint";
   const std::string crash_dir = CloneDir(log.dir, "rotation_gap_oldest_crash");
   fs::remove(fs::path(crash_dir) / fs::path(segments[0].path).filename());
   auto recovered = Database::Open(crash_dir);
@@ -662,11 +682,13 @@ TEST(RecoveryRotationCrashTest, MissingOldestSegmentIsFatal) {
 }
 
 TEST(RecoveryRotationCrashTest, RotatedChainRecoversAtEverySegmentCount) {
-  // Dropping suffixes of the segment chain steps recovery back through
-  // rotation history; each prefix of the chain must be fsck-clean.
+  // Every segment but the last holds only records the newest checkpoint
+  // covers; the spanning transaction commits in the last. So each strict
+  // prefix of the chain recovers to the newest checkpoint's state, the
+  // whole chain to the live state, and every prefix is fsck-clean.
   RotatedLog log = BuildRotatedLog("rotation_prefixes");
+  ASSERT_NE(log.checkpoint_dump, log.live_dump);
   std::vector<SegmentFileInfo> segments = ListSegments(log.dir);
-  size_t prev_objects = 0;
   for (size_t keep = 1; keep <= segments.size(); ++keep) {
     const std::string crash_dir =
         CloneDir(log.dir, "rotation_prefix_crash");
@@ -677,12 +699,10 @@ TEST(RecoveryRotationCrashTest, RotatedChainRecoversAtEverySegmentCount) {
     ASSERT_TRUE(recovered.ok())
         << "keep=" << keep << ": " << recovered.status().ToString();
     EXPECT_TRUE((*recovered)->recovery_report().fsck_ran);
-    size_t objects = (*recovered)->store().size();
-    EXPECT_GE(objects, prev_objects) << "keep=" << keep;
-    prev_objects = objects;
-    if (keep == segments.size()) {
-      EXPECT_EQ(CanonicalDump(**recovered), log.live_dump);
-    }
+    EXPECT_EQ(CanonicalDump(**recovered), keep == segments.size()
+                                              ? log.live_dump
+                                              : log.checkpoint_dump)
+        << "keep=" << keep;
     ASSERT_TRUE((*recovered)->Close().ok());
   }
 }

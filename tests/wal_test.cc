@@ -551,8 +551,11 @@ TEST(SchemaMemoTest, CheckSchemaSkipsWhenEpochUnchanged) {
   (void)db.CheckSchema();
   EXPECT_EQ(db.schema_analyses_run(), 2u);
   DatabaseStats stats = DatabaseStats::Collect(db);
-  EXPECT_EQ(stats.schema_analyses_run, 2u);
-  EXPECT_EQ(stats.schema_analyses_skipped, 2u);
+  EXPECT_EQ(stats.metrics.CounterValue("caddb_ddl_schema_analyses_run_total"),
+            2u);
+  EXPECT_EQ(
+      stats.metrics.CounterValue("caddb_ddl_schema_analyses_skipped_total"),
+      2u);
   EXPECT_NE(stats.ToString().find("schema analyses"), std::string::npos);
 }
 
@@ -641,7 +644,14 @@ TEST(ShellWalTest, WalStatusAndCheckpointCommands) {
   shell::Shell sh((*db).get());
   std::ostringstream status;
   ASSERT_TRUE(sh.ExecuteLine("wal status", status));
-  EXPECT_NE(status.str().find("sync:"), std::string::npos) << status.str();
+  // ToString's policy and lsn lines are the only ones: each prints once.
+  const std::string text = status.str();
+  const size_t policy = text.find("sync policy:");
+  ASSERT_NE(policy, std::string::npos) << text;
+  EXPECT_EQ(text.find("sync policy:", policy + 1), std::string::npos) << text;
+  const size_t lsn = text.find("last lsn:");
+  ASSERT_NE(lsn, std::string::npos) << text;
+  EXPECT_EQ(text.find("last lsn:", lsn + 1), std::string::npos) << text;
   EXPECT_NE(status.str().find("recovery:"), std::string::npos)
       << status.str();
   std::ostringstream ckpt;
