@@ -20,7 +20,7 @@
 #include "bench_common.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 
 namespace {
 
@@ -49,7 +49,7 @@ void BM_LocalShellExecute(benchmark::State& state) {
   Abort(db.ExecuteDdl(kBoxDdl));
   Abort(db.CreateObject("Box", "").status());
   Abort(db.Set(caddb::Surrogate{1}, "W", caddb::Value::Int(3)));
-  caddb::shell::Shell shell(&db);
+  caddb::shell::Dispatcher shell(&db);
   std::ostringstream out;
   for (auto _ : state) {
     out.str("");

@@ -19,8 +19,8 @@
 #   8. Disk-verifier smoke: the CAD3xx corruption-injection matrix under
 #      ASan+UBSan, then `caddb_shell --check` over a database directory
 #      the stage itself produces — any CAD3xx error fails the run
-#   9. Net smoke: frame-decoder fuzz matrix + server/daemon tests under
-#      ASan+UBSan, then a live fleet — primary caddb_server with
+#   9. Net smoke: frame-decoder and shell line-parser fuzz matrices +
+#      server/daemon tests under ASan+UBSan, then a live fleet — primary caddb_server with
 #      auto-ship, a scripted wire session, a Prometheus scrape, and a
 #      follower caddb_server auto-polling to caught-up — with clean
 #      SIGTERM shutdowns
@@ -32,7 +32,8 @@
 #      the event-log ring + sink hammer, the shared buffer pool, the
 #      network server and replication daemons, the failpoint registry
 #      hammer, the replication fault matrix on the process-global registry,
-#      the network chaos suite driving the registry-only server counters)
+#      the network chaos suite driving the registry-only server counters,
+#      the shell against a live server, follower stats across rebuilds)
 #  12. Bench build: every benchmark target must compile (incl.
 #      bench_disk_check, bench_net, the bench_obs log/history numbers)
 #  13. clang-tidy over src/ (advisory; skipped when clang-tidy is absent)
@@ -180,14 +181,15 @@ build-ci/asan-ubsan/examples/caddb_shell --check "$FSCK_DIR/db" --format=json \
 
 step "net smoke: server + wire session + scrape + auto-poll follower under asan+ubsan"
 # net_protocol_test runs the frame fuzz matrix (every bit flip, random
-# garbage) under the sanitizers; then a real fleet end to end: a primary
+# garbage) and shell_fuzz_test the mutated every-verb scripts through a
+# writable and a read-only dispatcher under the sanitizers; then a real fleet end to end: a primary
 # caddb_server with auto-ship, a scripted --connect session exercising
 # writes, a Prometheus scrape, and a follower caddb_server that auto-polls
 # to caught-up and serves the shipped data read-only over the wire. Both
 # servers must exit 0 on SIGTERM.
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-ci/asan-ubsan --output-on-failure \
-        -R '^(net_protocol_test|net_server_test|net_daemon_test)$'
+        -R '^(net_protocol_test|net_server_test|net_daemon_test|shell_fuzz_test)$'
 NET_DIR="build-ci/net-smoke"
 rm -rf "$NET_DIR"
 mkdir -p "$NET_DIR"
@@ -268,15 +270,15 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   build-ci/asan-ubsan/examples/caddb_soak "$SOAK_DIR/run" \
       --seed 42 --ops 400 --duration 10s
 
-step "tsan: lock manager + transaction + batched-fsync + obs registry/log + net + net chaos + replication tests"
+step "tsan: lock manager + transaction + batched-fsync + obs registry/log + net + net chaos + replication + shell tests"
 cmake -B build-ci/tsan -S . -DCADDB_WERROR=ON -DCADDB_TSAN=ON \
       "${GENERATOR_FLAGS[@]}"
 cmake --build build-ci/tsan -j "$JOBS" --target lock_manager_test txn_test \
       wal_batch_sync_test obs_test obs_log_test net_trace_test \
       buffer_pool_concurrency_test net_server_test net_daemon_test fault_test \
-      fault_net_test replication_test
+      fault_net_test replication_test shell_test stats_replica_test
 ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
-      -R '^(lock_manager_test|txn_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test)$'
+      -R '^(lock_manager_test|txn_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test|shell_test|stats_replica_test)$'
 
 step "bench build: all benchmark targets compile"
 cmake --build build-ci/werror -j "$JOBS" --target \

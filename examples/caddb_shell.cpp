@@ -60,7 +60,7 @@
 #include "core/database.h"
 #include "net/client.h"
 #include "replication/follower.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 
 namespace {
 
@@ -251,12 +251,12 @@ int main(int argc, char** argv) {
     durable_db = std::move(*opened);
     db = durable_db.get();
   }
-  caddb::shell::Shell shell(db);
+  caddb::shell::Dispatcher shell(db);
   if (follower != nullptr) shell.AttachFollower(follower.get());
   bool interactive = isatty(0) != 0;
   if (interactive) {
     std::cout << "caddb shell — complex & composite objects for CAD/CAM.\n"
-                 "Commands are documented in src/shell/shell.h; 'quit' "
+                 "Commands are documented in src/shell/dispatcher.h; 'quit' "
                  "exits.\n";
     if (follow) {
       std::cout << "follower session: " << dir

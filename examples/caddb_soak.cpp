@@ -23,7 +23,7 @@
 // only on --seed, so a failure reproduces from its command line alone.
 //
 // The fault schedule grammar is `@<ms> arm <site> <spec>` / `@<ms> disarm
-// <site>`, ';'-separated; see `fault arm` in src/shell/shell.h for specs.
+// <site>`, ';'-separated; see `fault arm` in src/shell/dispatcher.h for specs.
 // The default schedule exercises socket drops/delays/resets, replication
 // drop/truncate, WAL fsync delays, and bounded storage flush errors — all
 // self-healing, so a clean run is the expected outcome.

@@ -3,6 +3,8 @@
 #include <array>
 #include <cctype>
 
+#include "util/string_util.h"
+
 namespace caddb {
 namespace ddl {
 
@@ -177,8 +179,13 @@ class LexerImpl {
              std::isdigit(static_cast<unsigned char>(Peek())) != 0) {
         digits.push_back(Advance());
       }
+      Result<uint64_t> number = ParseUint(digits, "number", INT64_MAX);
+      if (!number.ok()) {
+        return ParseError("number " + digits + " out of range at line " +
+                          std::to_string(line_));
+      }
       Token t = Make(Token::Kind::kNumber, digits);
-      t.number = std::stoll(digits);
+      t.number = static_cast<int64_t>(*number);
       return t;
     }
     // Two-character comparison symbols first.

@@ -141,7 +141,9 @@ Result<Value> Evaluator::EvalAggregate(const Expr& e) {
       for (const Value& v : *elements) {
         if (v.is_null()) continue;
         if (v.kind() == Value::Kind::kInt) {
-          itotal += v.AsInt();
+          if (__builtin_add_overflow(itotal, v.AsInt(), &itotal)) {
+            return InvalidArgument("integer overflow in sum");
+          }
           total += static_cast<double>(v.AsInt());
         } else if (v.kind() == Value::Kind::kReal) {
           all_int = false;
@@ -226,13 +228,19 @@ Result<Value> Evaluator::EvalBinary(const Expr& e) {
                             rhs->ToString());
       }
       if (lint && rint && e.op() != Expr::Op::kDiv) {
-        int64_t a = lhs->AsInt(), b = rhs->AsInt();
-        switch (e.op()) {
-          case Expr::Op::kAdd: return Value::Int(a + b);
-          case Expr::Op::kSub: return Value::Int(a - b);
-          case Expr::Op::kMul: return Value::Int(a * b);
-          default: break;
+        // Values come from outside the program: an overflow is an error,
+        // never a wrapped (undefined) result.
+        int64_t a = lhs->AsInt(), b = rhs->AsInt(), r = 0;
+        const bool overflow =
+            e.op() == Expr::Op::kAdd   ? __builtin_add_overflow(a, b, &r)
+            : e.op() == Expr::Op::kSub ? __builtin_sub_overflow(a, b, &r)
+                                       : __builtin_mul_overflow(a, b, &r);
+        if (overflow) {
+          return InvalidArgument("integer overflow in " + lhs->ToString() +
+                                 " " + OpName(e.op()) + " " +
+                                 rhs->ToString());
         }
+        return Value::Int(r);
       }
       double a = lhs->AsReal(), b = rhs->AsReal();
       switch (e.op()) {
@@ -339,7 +347,13 @@ Result<Value> Evaluator::Eval(const Expr& e) {
       Result<Value> v = Eval(*e.children()[0]);
       if (!v.ok()) return v.status();
       if (v->is_null()) return Value::Null();
-      if (v->kind() == Value::Kind::kInt) return Value::Int(-v->AsInt());
+      if (v->kind() == Value::Kind::kInt) {
+        int64_t negated = 0;
+        if (__builtin_sub_overflow(int64_t{0}, v->AsInt(), &negated)) {
+          return InvalidArgument("integer overflow in -" + v->ToString());
+        }
+        return Value::Int(negated);
+      }
       if (v->kind() == Value::Kind::kReal) return Value::Real(-v->AsReal());
       return TypeMismatch("negation of non-numeric " + v->ToString());
     }

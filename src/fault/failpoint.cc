@@ -2,11 +2,15 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "util/string_util.h"
 
 namespace caddb {
 namespace fault {
@@ -26,32 +30,21 @@ void RealSleep(uint64_t delay_us) {
   }
 }
 
-/// "50ms" / "2000us" / "1s" / bare number (us) → microseconds.
+/// "50ms" / "2000us" / "1s" / bare number (us) → microseconds. The number
+/// is capped so that every unit stays within 64 bits.
 Result<uint64_t> ParseDuration(const std::string& text) {
-  size_t pos = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(text, &pos);
-  } catch (...) {
-    return InvalidArgument("bad duration '" + text + "'");
-  }
-  const std::string unit = text.substr(pos);
-  if (unit.empty() || unit == "us") return static_cast<uint64_t>(value);
-  if (unit == "ms") return static_cast<uint64_t>(value) * 1000;
-  if (unit == "s") return static_cast<uint64_t>(value) * 1000000;
+  const size_t digits = std::min(text.find_first_not_of("0123456789"),
+                                 text.size());
+  Result<uint64_t> value =
+      ParseUint(std::string_view(text).substr(0, digits), "duration",
+                UINT64_MAX / 1000000);
+  if (!value.ok()) return InvalidArgument("bad duration '" + text + "'");
+  const std::string unit = text.substr(digits);
+  if (unit.empty() || unit == "us") return *value;
+  if (unit == "ms") return *value * 1000;
+  if (unit == "s") return *value * 1000000;
   return InvalidArgument("bad duration unit '" + unit + "' in '" + text +
                          "'");
-}
-
-Result<uint64_t> ParseUint(const std::string& text, const char* what) {
-  try {
-    size_t pos = 0;
-    unsigned long long value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return static_cast<uint64_t>(value);
-  } catch (...) {
-    return InvalidArgument(std::string("bad ") + what + " '" + text + "'");
-  }
 }
 
 }  // namespace
@@ -146,16 +139,18 @@ Result<FailpointSpec> FailpointSpec::Parse(
     } else if (key == "times") {
       CADDB_ASSIGN_OR_RETURN(spec.times, ParseUint(value, "--times"));
     } else if (key == "p") {
-      try {
-        spec.probability = std::stod(value);
-      } catch (...) {
+      const char* end = value.data() + value.size();
+      auto [stop, ec] = std::from_chars(value.data(), end, spec.probability);
+      if (value.empty() || ec != std::errc() || stop != end) {
         return InvalidArgument("bad --p '" + value + "'");
       }
-      if (spec.probability < 0.0 || spec.probability > 1.0) {
+      // Written so that NaN fails too.
+      if (!(spec.probability >= 0.0 && spec.probability <= 1.0)) {
         return InvalidArgument("--p must be within [0, 1]");
       }
     } else if (key == "seed") {
-      CADDB_ASSIGN_OR_RETURN(uint64_t seed, ParseUint(value, "--seed"));
+      CADDB_ASSIGN_OR_RETURN(uint64_t seed,
+                             ParseUint(value, "--seed", UINT32_MAX));
       spec.seed = static_cast<uint32_t>(seed);
     } else {
       return InvalidArgument("unknown failpoint modifier '--" + key + "'");

@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <charconv>
+
 namespace caddb {
 
 std::string Join(const std::vector<std::string>& parts,
@@ -25,6 +27,18 @@ std::vector<std::string> Split(const std::string& s, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+Result<uint64_t> ParseUint(std::string_view text, const char* what,
+                           uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end || value > max) {
+    return InvalidArgument(std::string("bad ") + what + " '" +
+                           std::string(text) + "'");
+  }
+  return value;
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {

@@ -95,6 +95,10 @@ TEST(LexerTest, NumbersAndArithmetic) {
   ASSERT_EQ(tokens.size(), 6u);
   EXPECT_EQ(tokens[0].number, 100);
   EXPECT_TRUE(tokens[1].IsSymbol("*"));
+  // Past int64 is a parse error, not an escaping std::out_of_range.
+  EXPECT_EQ(LexOk("9223372036854775807")[0].number, INT64_MAX);
+  EXPECT_EQ(Lex("W > 99999999999999999999").status().code(),
+            Code::kParseError);
 }
 
 TEST(LexerTest, LineTrackingInErrors) {

@@ -25,7 +25,7 @@
 #include "core/database.h"
 #include "fault/failpoint.h"
 #include "replication/manifest.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 #include "storage/heap_record.h"
 #include "storage/page.h"
 #include "wal/checkpoint.h"
@@ -986,7 +986,7 @@ TEST(DiskVerifierTest, ShippedReplicaDirectoryVerifiesClean) {
               .ok());
     }
     ASSERT_TRUE((*db)->Checkpoint().ok());
-    shell::Shell sh(db->get());
+    shell::Dispatcher sh(db->get());
     std::ostringstream out;
     ASSERT_TRUE(sh.ExecuteLine("ship " + replica_dir, out));
     ASSERT_EQ(sh.error_count(), 0u) << out.str();

@@ -94,6 +94,24 @@ TEST(ExprTest, DivisionByZeroIsError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(ExprTest, IntegerOverflowIsError) {
+  FakeContext ctx;
+  Evaluator ev(&ctx);
+  const int64_t max = INT64_MAX;
+  const int64_t min = INT64_MIN;
+  ctx.AddCollection("Big", {Value::Int(max), Value::Int(1)});
+  for (const ExprPtr& e :
+       {Expr::Sum(Expr::Path({"Big"})),
+        Expr::Binary(Expr::Op::kMul, Expr::Int(5), Expr::Int(max)),
+        Expr::Binary(Expr::Op::kAdd, Expr::Int(max), Expr::Int(1)),
+        Expr::Binary(Expr::Op::kSub, Expr::Int(min), Expr::Int(1)),
+        Expr::Neg(Expr::Int(min))}) {
+    auto r = ev.Eval(*e);
+    ASSERT_FALSE(r.ok()) << e->ToString();
+    EXPECT_EQ(r.status().code(), Code::kInvalidArgument) << e->ToString();
+  }
+}
+
 TEST(ExprTest, Comparisons) {
   FakeContext ctx;
   EXPECT_EQ(EvalOk(Expr::Lt(Expr::Int(1), Expr::Int(2)), &ctx),

@@ -74,6 +74,14 @@ TEST(FailpointSpec, RejectsMalformedInput) {
   EXPECT_FALSE(FailpointSpec::ParseString("drop --every=0").ok());
   EXPECT_FALSE(FailpointSpec::ParseString("drop --p=1.5").ok());
   EXPECT_FALSE(FailpointSpec::ParseString("drop --bogus=1").ok());
+  // Numbers are digits only: a sign used to wrap to a huge skip or delay.
+  EXPECT_FALSE(FailpointSpec::ParseString("delay=-1ms").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("delay=99999999999999s").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("drop --skip=-1").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("drop --times=+2").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("drop --seed=4294967296").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("drop --p=nan").ok());
+  EXPECT_FALSE(FailpointSpec::ParseString("drop --p=0.5x").ok());
 }
 
 // ---------------------------------------------------------------------------

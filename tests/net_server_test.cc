@@ -16,7 +16,6 @@
 #include "obs/exposition.h"
 #include "replication/follower.h"
 #include "replication/shipper.h"
-#include "shell/shell.h"
 
 namespace caddb {
 namespace net {

@@ -21,7 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 #include "util/json_writer.h"
 #include "wal/wal.h"
 
@@ -503,7 +503,7 @@ TEST(ExpositionTest, FirstBucketPercentilesInShellTextAndJson) {
     ones->Record(1);
     zeros->Record(0);
   }
-  shell::Shell shell(&db);
+  shell::Dispatcher shell(&db);
   std::istringstream in("metrics\n");
   std::ostringstream out;
   shell.Run(in, out);

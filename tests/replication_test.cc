@@ -20,7 +20,7 @@
 #include "replication/follower.h"
 #include "replication/manifest.h"
 #include "replication/shipper.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 #include "wal/checkpoint.h"
 #include "workload/generator.h"
 #include "wal/crc32c.h"
@@ -1101,7 +1101,7 @@ TEST(ReplicationReseedTest, ShellReseedPrintsVerdictAndClears) {
   PublishManifest(replica_dir, manifest);
   ExpectQuarantined(pair.follower.get(), "CAD201");
 
-  shell::Shell sh(pair.follower->db());
+  shell::Dispatcher sh(pair.follower->db());
   sh.AttachFollower(pair.follower.get());
 
   // `replica status --format=json` surfaces the quarantine verdict.

@@ -1,4 +1,4 @@
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,14 @@
 #include <system_error>
 #include <thread>
 
+#include "fault/failpoint.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/exposition.h"
+#include "persist/dump.h"
+#include "replication/follower.h"
+#include "replication/shipper.h"
+#include "wal/wal.h"
 
 namespace caddb {
 namespace shell {
@@ -21,7 +26,7 @@ std::string RunScript(const std::string& script, size_t* errors = nullptr,
                       Database* external_db = nullptr) {
   Database local_db;
   Database* db = external_db != nullptr ? external_db : &local_db;
-  Shell shell(db);
+  Dispatcher shell(db);
   std::istringstream in(script);
   std::ostringstream out;
   shell.Run(in, out);
@@ -68,6 +73,36 @@ TEST(ShellTest, ErrorsAreReportedInlineAndCounted) {
   EXPECT_NE(out.find("TypeMismatch"), std::string::npos);
   EXPECT_NE(out.find("NotFound"), std::string::npos);
   EXPECT_NE(out.find("unknown command"), std::string::npos);
+
+  // Outside input is validated, not skimmed: a sign, trailing characters,
+  // overflow and surplus arguments are each an error, never a reading of
+  // some prefix of the line.
+  Database db;
+  Dispatcher shell(&db);
+  std::ostringstream setup;
+  for (const char* line : {"schema <<<",
+                           "obj-type Box = attributes: W, H: integer; end Box;",
+                           ">>>", "create Box", "set @1 W i:3"}) {
+    shell.ExecuteLine(line, setup);
+  }
+  ASSERT_EQ(shell.error_count(), 0u) << setup.str();
+  for (const char* line :
+       {"get @1x W", "get @1abc W", "get @-1 W", "get @+1 W",
+        "get @18446744073709551616 W", "expand @1 2junk", "expand @1 -1",
+        "expand @1 2147483648", "trace threshold 5ms", "trace threshold -5",
+        "log tail -1", "metrics --watch --window=-5", "get @1 W extra junk",
+        "checkpoint now", "select Box where", "delete @1 detach-all",
+        "fault disarm --all now", "quit now"}) {
+    const size_t before = shell.error_count();
+    std::ostringstream probe;
+    EXPECT_TRUE(shell.ExecuteLine(line, probe)) << line;
+    EXPECT_EQ(shell.error_count(), before + 1) << line << ": " << probe.str();
+    EXPECT_EQ(probe.str().rfind("error: ", 0), 0u) << line << ": "
+                                                    << probe.str();
+  }
+  std::ostringstream value;
+  shell.ExecuteLine("get @1 W", value);
+  EXPECT_EQ(value.str(), "3\n") << "the probes changed nothing";
 }
 
 TEST(ShellTest, CommentsAndEchoAndQuit) {
@@ -499,7 +534,7 @@ TEST(ShellNetTest, ServerStatusReportsListenerQueueAndSessions) {
   bool command_error = false;
   ASSERT_TRUE((*client)->Execute("echo hi", &output, &command_error).ok());
 
-  Shell shell(&db);
+  Dispatcher shell(&db);
   shell.AttachServer(server->get());
   std::istringstream in(
       "server status\n"
@@ -555,7 +590,7 @@ TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
   }
   ASSERT_EQ((*server)->stats().sessions_active, 0u);
 
-  Shell shell(db->get());
+  Dispatcher shell(db->get());
   shell.AttachServer(server->get());
   std::istringstream in(
       "wal status --format=json\n"
@@ -601,6 +636,222 @@ TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
   }
   EXPECT_EQ(registry.CounterValue("caddb_net_requests_total"), 9u);
   EXPECT_GT(registry.CounterValue("caddb_inherit_cache_hits_total"), 0u);
+}
+
+
+// ---- The verb table and the read-only gate ----
+
+/// One sample line per verb form: every top-level verb, and every subverb
+/// form that mutates. `mutates` is the line's expected read-only verdict.
+struct VerbSample {
+  std::string line;
+  bool mutates;
+};
+
+std::vector<VerbSample> VerbSamples(const std::string& dir) {
+  return {
+      {"schema <<<", true},
+      {"schema-file " + dir + "/none.ddl", true},
+      {"print-schema", false},
+      {"class boxes2 Box", true},
+      {"create Box", true},
+      {"create Box boxes", true},
+      {"sub @3 Parts", true},
+      {"rel Wire A=@1 B=@4", true},
+      {"subrel @3 Wires A=@1 B=@4", true},
+      {"bind @5 @1 R", true},
+      {"unbind @5", true},
+      {"set @1 W i:9", true},
+      {"get @1 W", false},
+      {"members @3 Parts", false},
+      {"delete @2", true},
+      {"delete @1 detach", true},
+      {"check", false},
+      {"check schema --format=json", false},
+      {"check @1", false},
+      {"check disk", false},
+      {"check --repair", true},
+      {"check store --repair --format=json", true},
+      {"check-deep @3", false},
+      {"check-all", false},
+      {"violations", false},
+      {"holds @1 W > 0", false},
+      {"expand @3", false},
+      {"expand @3 1", false},
+      {"expand-dot @3", false},
+      {"components @3", false},
+      {"where-used @1", false},
+      {"pending @5", false},
+      {"ack @5", true},
+      {"select Box W", false},
+      {"select Box W where W > 0", false},
+      {"stats", false},
+      {"stats --format=json", false},
+      {"metrics", false},
+      {"metrics --format=prom", false},
+      {"metrics --watch --window=1000", false},
+      {"fault", false},
+      {"fault list --format=json", false},
+      {"fault arm wal.append.pre_fsync error --times=1", true},
+      {"fault disarm wal.append.pre_fsync", true},
+      {"fault disarm --all", true},
+      {"trace", false},
+      {"trace dump --slow-only --format=json", false},
+      {"trace on", true},
+      {"trace off", true},
+      {"trace clear", true},
+      {"trace threshold 5", true},
+      {"log", false},
+      {"log tail 5 --format=json", false},
+      {"log level debug", true},
+      {"cache", false},
+      {"cache off", true},
+      {"cache fine", true},
+      {"cache on", true},
+      {"cache reset-stats", true},
+      {"dump " + dir + "/walk.cdb", true},
+      {"load " + dir + "/walk.cdb", true},
+      {"wal status --format=json", false},
+      {"checkpoint", true},
+      {"storage status", false},
+      {"server status", false},
+      {"ship " + dir + "/walk-replica", true},
+      {"ship", true},
+      {"replica status --format=json", false},
+      {"replica poll", true},
+      {"replica promote", true},
+      {"replica reseed", true},
+      {"echo hi", false},
+      {"quit", false},
+      {"exit", false},
+  };
+}
+
+/// What a refused line must leave exactly as it was.
+struct GatedState {
+  std::string dump;
+  uint64_t last_lsn = 0;
+  size_t armed_sites = 0;
+  bool trace_on = false;
+  uint64_t slow_threshold_us = 0;
+  bool cache_on = false;
+  uint64_t cache_hits = 0;
+  obs::LogLevel log_level = obs::LogLevel::kInfo;
+
+  static GatedState Of(Database& db) {
+    GatedState s;
+    auto dump = persist::Dumper::Dump(db);
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    if (dump.ok()) s.dump = *dump;
+    s.last_lsn = db.wal()->last_lsn();
+    for (const fault::SiteInfo& site :
+         fault::FailpointRegistry::Global().List()) {
+      if (site.armed) ++s.armed_sites;
+    }
+    s.trace_on = db.observability()->trace.enabled();
+    s.slow_threshold_us = db.observability()->trace.slow_threshold_us();
+    s.cache_on = db.inheritance().cache_enabled();
+    s.cache_hits = db.inheritance().cache_hits();
+    s.log_level = db.observability()->log.level();
+    return s;
+  }
+  bool operator==(const GatedState&) const = default;
+};
+
+TEST(ShellVerbTableTest, EveryVerbHasASampleAndMutatorsAreRefusedReadOnly) {
+  const std::string dir = ::testing::TempDir() + "/shell_verb_table";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto primary = Database::Open(dir + "/primary");
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  Database& db = **primary;
+  {
+    Dispatcher writer(&db);
+    std::istringstream in(
+        "schema <<<\n"
+        "obj-type Box = attributes: W, H: integer; end Box;\n"
+        "rel-type Wire = relates: A, B: object-of-type Box; end Wire;\n"
+        "obj-type Asm = types-of-subclasses: Parts: Box;\n"
+        "  types-of-subrels: Wires: Wire; end Asm;\n"
+        "inher-rel-type R = transmitter: object-of-type Box;\n"
+        "  inheritor: object; inheriting: W; end R;\n"
+        "obj-type Impl = inheritor-in: R; end Impl;\n"
+        ">>>\n"
+        "class boxes Box\n"
+        "create Box boxes\n"  // @1
+        "create Box\n"        // @2
+        "create Asm\n"        // @3
+        "sub @3 Parts\n"      // @4
+        "create Impl\n"       // @5
+        "bind @5 @1 R\n"      // @6
+        "set @1 W i:3\n"
+        "set @1 H i:4\n"
+        "trace threshold 7\n");
+    std::ostringstream out;
+    writer.Run(in, out);
+    ASSERT_EQ(writer.error_count(), 0u) << out.str();
+  }
+  const std::vector<VerbSample> samples = VerbSamples(dir);
+
+  // Every verb the table holds has at least one sample (a new verb forces a
+  // decision here), and every sample names a verb of the table.
+  const std::vector<std::string> verbs = Dispatcher::VerbNames();
+  EXPECT_EQ(verbs.size(), 43u);
+  for (const std::string& verb : verbs) {
+    bool sampled = false;
+    for (const VerbSample& s : samples) {
+      sampled |= s.line == verb || s.line.rfind(verb + " ", 0) == 0;
+    }
+    EXPECT_TRUE(sampled) << "verb '" << verb << "' has no sample line";
+  }
+  for (const VerbSample& s : samples) {
+    const std::string verb = s.line.substr(0, s.line.find(' '));
+    EXPECT_NE(std::find(verbs.begin(), verbs.end(), verb), verbs.end())
+        << s.line;
+  }
+
+  // A read-only dispatcher over the durable, writable primary: mutating
+  // lines are refused and change nothing; the rest pass the gate.
+  ASSERT_TRUE(fault::FailpointRegistry::Global().List().size() > 0);
+  Dispatcher reader(&db);
+  reader.set_read_only(true);
+  for (const VerbSample& s : samples) {
+    const GatedState before = GatedState::Of(db);
+    EXPECT_EQ(before.armed_sites, 0u);
+    const size_t errors = reader.error_count();
+    std::ostringstream out;
+    reader.ExecuteLine(s.line, out);
+    if (s.mutates) {
+      EXPECT_EQ(out.str().rfind("error: PermissionDenied: read-only session",
+                                0),
+                0u)
+          << s.line << ": " << out.str();
+      EXPECT_EQ(reader.error_count(), errors + 1) << s.line;
+    } else {
+      EXPECT_EQ(out.str().find("read-only session"), std::string::npos)
+          << s.line << ": " << out.str();
+    }
+    EXPECT_TRUE(GatedState::Of(db) == before) << s.line << " changed state";
+  }
+
+  // The same gate over a follower's database: no read is refused.
+  replication::Shipper shipper(&db, dir + "/replica");
+  ASSERT_TRUE(shipper.ShipNow().ok());
+  replication::FollowerOptions options;
+  options.sleeper = [](uint64_t) {};
+  replication::Follower follower(dir + "/replica", options);
+  ASSERT_TRUE(follower.Poll().ok());
+  Dispatcher follower_reader(follower.db());
+  follower_reader.AttachFollower(&follower);
+  follower_reader.set_read_only(true);
+  for (const VerbSample& s : samples) {
+    if (s.mutates) continue;
+    std::ostringstream out;
+    follower_reader.ExecuteLine(s.line, out);
+    EXPECT_EQ(out.str().find("read-only session"), std::string::npos)
+        << s.line << ": " << out.str();
+  }
+  ASSERT_TRUE(db.Close().ok());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "analysis/diagnostics.h"
 #include "core/database.h"
 #include "persist/dump.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 #include "storage/page.h"
 #include "wal/recovery.h"
 
@@ -277,7 +277,7 @@ TEST(StorePagedTest, ShellStorageStatusReportsThePagedStore) {
   ASSERT_TRUE((*db)->Set(gate, "Name", Value::String("g")).ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
 
-  shell::Shell sh(db->get());
+  shell::Dispatcher sh(db->get());
   std::ostringstream text;
   ASSERT_TRUE(sh.ExecuteLine("storage status", text));
   EXPECT_NE(text.str().find("objects:"), std::string::npos) << text.str();
@@ -290,7 +290,7 @@ TEST(StorePagedTest, ShellStorageStatusReportsThePagedStore) {
 
   // A non-durable database has no paged store to report on.
   Database memory_only;
-  shell::Shell memory_shell(&memory_only);
+  shell::Dispatcher memory_shell(&memory_only);
   std::ostringstream err;
   ASSERT_TRUE(memory_shell.ExecuteLine("storage status", err));
   EXPECT_NE(err.str().find("error"), std::string::npos) << err.str();

@@ -13,7 +13,7 @@
 #include "core/paper_schemas.h"
 #include "core/stats.h"
 #include "persist/dump.h"
-#include "shell/shell.h"
+#include "shell/dispatcher.h"
 #include "wal/checkpoint.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
@@ -594,7 +594,7 @@ TEST(RepairTest, ShellCheckStoreRepair) {
   ASSERT_TRUE(db.ExecuteDdl(kPlateSchema).ok());
   Surrogate plate = db.CreateObject("Plate").value();
   db.store().GetMutable(plate)->set_class_name("Phantom");
-  shell::Shell sh(&db);
+  shell::Dispatcher sh(&db);
   std::ostringstream broken;
   ASSERT_TRUE(sh.ExecuteLine("check store", broken));
   EXPECT_NE(broken.str().find("CAD106"), std::string::npos) << broken.str();
@@ -641,7 +641,7 @@ TEST(ShellWalTest, WalStatusAndCheckpointCommands) {
   auto db = Database::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->ExecuteDdl(kPlateSchema).ok());
-  shell::Shell sh((*db).get());
+  shell::Dispatcher sh((*db).get());
   std::ostringstream status;
   ASSERT_TRUE(sh.ExecuteLine("wal status", status));
   // ToString's policy and lsn lines are the only ones: each prints once.
@@ -665,7 +665,7 @@ TEST(ShellWalTest, WalStatusJsonSharesTheRenderer) {
   auto db = Database::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->ExecuteDdl(kPlateSchema).ok());
-  shell::Shell sh((*db).get());
+  shell::Dispatcher sh((*db).get());
   std::ostringstream out;
   ASSERT_TRUE(sh.ExecuteLine("wal status --format=json", out));
   EXPECT_EQ(sh.error_count(), 0u) << out.str();
@@ -683,7 +683,7 @@ TEST(ShellWalTest, WalStatusJsonSharesTheRenderer) {
 
 TEST(ShellWalTest, WalStatusFailsOnNonDurableDatabase) {
   Database db;
-  shell::Shell sh(&db);
+  shell::Dispatcher sh(&db);
   std::ostringstream out;
   ASSERT_TRUE(sh.ExecuteLine("wal status", out));
   EXPECT_EQ(sh.error_count(), 1u);
