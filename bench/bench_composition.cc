@@ -32,27 +32,6 @@ void BM_CompositeReadThroughInheritance(benchmark::State& state) {
 }
 BENCHMARK(BM_CompositeReadThroughInheritance)->Range(1, 512);
 
-/// Same read path with the resolution cache on (ablation 1 of DESIGN.md).
-void BM_CompositeReadCached(benchmark::State& state) {
-  const int n_components = static_cast<int>(state.range(0));
-  Database db;
-  LoadGatesSchema(&db);
-  Surrogate own = NewInterface(&db, 2, 30);
-  Surrogate component = NewInterface(&db, 3, 10);
-  Surrogate composite = NewComposite(&db, own, component, n_components);
-  auto subs = Unwrap(db.Subclass(composite, "SubGates"));
-  db.inheritance().EnableCache(true);
-  for (auto _ : state) {
-    int64_t total = 0;
-    for (Surrogate sub : subs) {
-      total += Unwrap(db.Get(sub, "Length")).AsInt();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * n_components);
-}
-BENCHMARK(BM_CompositeReadCached)->Range(1, 512);
-
 /// Copy-import composite: reads are local (fast) but every component update
 /// forces a refresh sweep first. Measures read-after-one-update, the
 /// end-to-end cost a copy-based system pays for freshness.

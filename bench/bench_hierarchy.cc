@@ -50,38 +50,15 @@ void BM_InheritedReadByDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_InheritedReadByDepth)->DenseRange(1, 4)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_InheritedReadByDepth_Cached(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  Database db;
-  Surrogate leaf = BuildChain(&db, depth);
-  db.inheritance().EnableCache(true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Unwrap(db.Get(leaf, "A")).AsInt());
-  }
-  state.counters["hit_rate"] =
-      db.inheritance().cache_hits() == 0
-          ? 0.0
-          : static_cast<double>(db.inheritance().cache_hits()) /
-                static_cast<double>(db.inheritance().cache_hits() +
-                                    db.inheritance().cache_misses());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InheritedReadByDepth_Cached)
-    ->DenseRange(1, 4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32);
-
 /// Cache under write churn: every k-th operation is a root update, which
-/// invalidates the whole cache (global-version stamping). Shows where the
-/// cache stops paying off — the paper's design updates are rare relative to
-/// reads, so the cache wins in the common case.
+/// invalidates every entry of the chain. Shows where the cache stops paying
+/// off — the paper's design updates are rare relative to reads, so the
+/// cache wins in the common case.
 void BM_CachedReadWithUpdates(benchmark::State& state) {
   const int reads_per_update = static_cast<int>(state.range(0));
   Database db;
   Surrogate leaf = BuildChain(&db, 8);
   Surrogate root{1};  // L0 is the first object BuildChain creates
-  db.inheritance().EnableCache(true);
   int64_t tick = 0;
   for (auto _ : state) {
     Abort(db.Set(root, "A", Value::Int(++tick)));

@@ -1,6 +1,6 @@
 // Ablation: inheritance-resolution caching under deep transmitter chains and
-// mixed read/write workloads — no cache vs. fine-grained dependency
-// validation.
+// mixed read/write workloads — the fine-grained dependency-validated cache
+// every read goes through, against reads that are forced to miss.
 //
 // The paper's immediacy guarantee ("any update of the original data is
 // instantly visible", section 2) makes inherited reads the hot path of every
@@ -13,12 +13,14 @@
 // the type system forbids same-type cycles). Workloads pick a chain with a
 // deterministic LCG: read-only (leaf reads), mixed ~90/10 (every 10th
 // operation updates a root), write-heavy (every 2nd operation updates a
-// root). The hit rate is reported as a counter.
+// root). The `miss` arm writes the chain's root before every read, so each
+// read walks the chain and refills it: the cost of a read that the cache
+// cannot serve, plus one write. The hit rate is reported as a counter.
 //
 // Expected shape: read-only — the cache collapses the O(depth) walk to one
 // probe; mixed 90/10 — the cache stays near its read-only throughput;
-// write-heavy — caching cannot pay off, measuring how close the probe
-// overhead is to zero.
+// write-heavy and the miss arm — caching cannot pay off, measuring how
+// close the probe-and-fill overhead is to zero.
 
 #include <benchmark/benchmark.h>
 
@@ -99,12 +101,13 @@ struct ChainFleet {
 
 constexpr int kChains = 64;
 
-/// args: (chain depth, cache on as 0/1). `write_period` = 0 means
-/// read-only; N means every Nth operation is a root update.
+/// args: (chain depth, miss as 0/1; 1 writes the read chain's root before
+/// every read). `write_period` = 0 means read-only; N means every Nth
+/// operation is a root update.
 void RunWorkload(benchmark::State& state, int write_period) {
   const int depth = static_cast<int>(state.range(0));
+  const bool force_miss = state.range(1) != 0;
   ChainFleet fleet(depth, kChains);
-  fleet.manager.EnableCache(state.range(1) != 0);
 
   uint64_t rng = 0x9e3779b97f4a7c15ull;
   int64_t tick = 0;
@@ -116,6 +119,10 @@ void RunWorkload(benchmark::State& state, int write_period) {
       Abort(fleet.manager.SetAttribute(fleet.roots[chain], "A",
                                        caddb::Value::Int(++tick)));
     } else {
+      if (force_miss) {
+        Abort(fleet.manager.SetAttribute(fleet.roots[chain], "A",
+                                         caddb::Value::Int(++tick)));
+      }
       benchmark::DoNotOptimize(
           Unwrap(fleet.manager.GetAttribute(fleet.leaves[chain], "A"))
               .is_null());
@@ -139,13 +146,13 @@ void BM_DeepChain_WriteHeavy(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DeepChain_ReadOnly)
-    ->ArgNames({"depth", "cache"})
+    ->ArgNames({"depth", "miss"})
     ->ArgsProduct({{2, 4, 8}, {0, 1}});
 BENCHMARK(BM_DeepChain_Mixed90_10)
-    ->ArgNames({"depth", "cache"})
+    ->ArgNames({"depth", "miss"})
     ->ArgsProduct({{2, 4, 8}, {0, 1}});
 BENCHMARK(BM_DeepChain_WriteHeavy)
-    ->ArgNames({"depth", "cache"})
+    ->ArgNames({"depth", "miss"})
     ->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 }  // namespace

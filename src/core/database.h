@@ -60,8 +60,10 @@ struct ReplicaInfo {
 ///   auto plate = db.CreateObject("Plate");
 ///   CHECK_OK(db.Set(*plate, "Thickness", caddb::Value::Int(4)));
 ///
-/// Thread model: schema/data manipulation through the plain methods is
-/// single-threaded; multi-threaded access goes through transactions().
+/// Thread model: the convenience methods below take the store gate, so
+/// they may be called from several threads; a direct subsystem read
+/// (expander(), query(), constraints()) must hold LockStore() itself.
+/// Multi-statement isolation goes through transactions().
 class Database {
  public:
   /// Registry names of the schema-analysis memo counters.
@@ -162,6 +164,15 @@ class Database {
   /// shipped triple is mutually consistent.
   std::unique_lock<std::mutex> PauseCheckpoints() {
     return std::unique_lock<std::mutex>(checkpoint_mu_);
+  }
+
+  /// Holds the store gate across a read that goes to the subsystems
+  /// directly (expander, query engine, constraint checker, analyzer)
+  /// instead of through a gated method: such reads fault objects in and
+  /// fill the resolution cache, and both are guarded by the gate. Call no
+  /// gated Database method (Get, Set, Holds, ...) while holding it.
+  std::unique_lock<std::mutex> LockStore() const {
+    return std::unique_lock<std::mutex>(store_gate_);
   }
 
   /// Paged-store telemetry for `status` and the benchmarks.
@@ -364,7 +375,8 @@ class Database {
   std::unique_ptr<ObjectPager> pager_;
   size_t resident_budget_ = 0;
 
-  /// Serializes every store mutation/read against checkpoint capture.
+  /// Serializes every store mutation/read against checkpoint capture, and
+  /// guards the inheritance manager's resolution cache (filled by reads).
   /// Shared into the transaction and workspace managers. Lock order:
   /// store_gate_ -> subsystem mutexes -> heap/pool/file mutexes.
   mutable std::mutex store_gate_;

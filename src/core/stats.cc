@@ -38,7 +38,6 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
     }
   }
   const InheritanceManager& inheritance = db.inheritance();
-  stats.cache_mode = inheritance.cache_enabled() ? "fine-grained" : "off";
   stats.cache_entries = inheritance.cache_entries();
   const ReplicaInfo& replica = db.replica_info();
   stats.is_replica = replica.is_replica;
@@ -71,11 +70,11 @@ std::string DatabaseStats::ToString() const {
          " top-level, " + std::to_string(subobjects) + " subobjects\n";
   out += "bound inheritors: " + std::to_string(bound_inheritors) + "\n";
   out += "pending changes:  " + std::to_string(pending_notifications) + "\n";
-  out += "resolution cache: " + cache_mode + ", " +
-         std::to_string(cache_entries) + " entries; " +
+  out += "resolution cache: " + std::to_string(cache_entries) + " entries; " +
          count(InheritanceManager::kCacheHits) + " hits, " +
          count(InheritanceManager::kCacheMisses) + " misses, " +
-         count(InheritanceManager::kCacheInvalidations) + " invalidations\n";
+         count(InheritanceManager::kCacheInvalidations) + " invalidations, " +
+         count(InheritanceManager::kCacheEvictions) + " evictions\n";
   out += "schema cache:     " + count(Catalog::kSchemaCacheHits) + " hits, " +
          count(Catalog::kSchemaCacheMisses) + " misses\n";
   out += "schema analyses:  " + count(Database::kSchemaAnalysesRun) +
@@ -124,12 +123,13 @@ std::string DatabaseStats::ToJson() const {
           static_cast<uint64_t>(pending_notifications));
   w.Key("resolution_cache");
   w.BeginObject();
-  w.Field("mode", cache_mode);
   w.Field("entries", static_cast<uint64_t>(cache_entries));
   w.Field("hits", metrics.CounterValue(InheritanceManager::kCacheHits));
   w.Field("misses", metrics.CounterValue(InheritanceManager::kCacheMisses));
   w.Field("invalidations",
           metrics.CounterValue(InheritanceManager::kCacheInvalidations));
+  w.Field("evictions",
+          metrics.CounterValue(InheritanceManager::kCacheEvictions));
   w.EndObject();
   w.Key("schema_cache");
   w.BeginObject();

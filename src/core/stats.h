@@ -28,11 +28,10 @@ struct DatabaseStats {
   size_t pending_notifications = 0;
   std::map<std::string, size_t> per_type;
 
-  // Resolution-cache telemetry: the inheritance manager's memoization cache
-  // (mode + live entries). Its hit/miss/invalidation counts, the catalog's
-  // effective-schema cache counts and the memoized-DDL-analysis counts are
-  // read from `metrics` below, the one place they are counted.
-  std::string cache_mode;
+  // Resolution-cache telemetry: the inheritance manager's live entries. Its
+  // hit/miss/invalidation/eviction counts, the catalog's effective-schema
+  // cache counts and the memoized-DDL-analysis counts are read from
+  // `metrics` below, the one place they are counted.
   size_t cache_entries = 0;
 
   // Replication telemetry (meaningful only when is_replica: the database is
@@ -51,6 +50,8 @@ struct DatabaseStats {
   // full, so `stats --format=json` is a superset of `metrics`.
   obs::MetricsSnapshot metrics;
 
+  /// Reads the store (faulting objects in) and the resolution cache: hold
+  /// Database::LockStore when other threads use the database.
   static DatabaseStats Collect(const Database& db);
 
   /// Multi-line human-readable report.

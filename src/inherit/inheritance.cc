@@ -15,7 +15,10 @@ InheritanceManager::InheritanceManager(ObjectStore* store,
       "Resolution-cache probes that fell through to a chain walk");
   m_invalidations_ = obs_->metrics.GetCounter(
       kCacheInvalidations,
-      "Cache probes that evicted a stale entry (also counted as misses)");
+      "Cache probes that erased a stale entry (the read then walks)");
+  m_evictions_ = obs_->metrics.GetCounter(
+      kCacheEvictions,
+      "Resolution-cache entries dropped to stay within the entry cap");
   m_resolutions_ = obs_->metrics.GetCounter(
       "caddb_inherit_resolutions_total",
       "Inherited attribute/subclass reads resolved (cached or walked)");
@@ -73,8 +76,7 @@ Result<std::vector<Surrogate>> InheritanceManager::InheritorsOf(
   return out;
 }
 
-template <typename T>
-bool InheritanceManager::EntryValid(const CacheEntry<T>& entry) const {
+bool InheritanceManager::EntryValid(const CacheEntry& entry) const {
   if (entry.schema_epoch != store_->catalog().schema_epoch()) return false;
   for (const auto& [id, version] : entry.deps) {
     if (store_->ObjectVersion(Surrogate(id)) != version) return false;
@@ -82,43 +84,85 @@ bool InheritanceManager::EntryValid(const CacheEntry<T>& entry) const {
   return true;
 }
 
-template <typename T>
-const T* InheritanceManager::Probe(std::map<CacheKey, CacheEntry<T>>* cache,
-                                   const CacheKey& key) const {
-  auto it = cache->find(key);
-  if (it != cache->end()) {
-    if (EntryValid(it->second)) {
-      m_cache_hits_->Increment();
-      return &it->second.payload;
-    }
+const InheritanceManager::CacheEntry* InheritanceManager::Probe(
+    const CacheKey& key) const {
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return nullptr;
+  if (!EntryValid(it->second)) {
     m_invalidations_->Increment();
-    cache->erase(it);
+    cache_.erase(it);
+    return nullptr;
   }
-  m_cache_misses_->Increment();
-  return nullptr;
+  m_cache_hits_->Increment();
+  it->second.referenced = true;
+  return &it->second;
 }
 
-template <typename T>
-void InheritanceManager::FillChain(std::map<CacheKey, CacheEntry<T>>* cache,
-                                   const std::string& item,
+Result<const DbObject*> InheritanceManager::WalkChain(
+    const DbObject* obj, const EffectiveSchema* schema,
+    const std::string& name, std::vector<const DbObject*>* chain) const {
+  const DbObject* node = obj;
+  const EffectiveSchema* node_schema = schema;
+  while (true) {
+    chain->push_back(node);
+    if (!node_schema->IsInherited(name)) return node;
+    Surrogate rel_s = node->bound_inher_rel();
+    if (!rel_s.valid()) return nullptr;
+    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
+    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
+    CADDB_ASSIGN_OR_RETURN(
+        node_schema,
+        store_->catalog().FindEffectiveSchema(node->type_name()));
+  }
+}
+
+void InheritanceManager::FillChain(Item item, const std::string& name,
                                    const std::vector<const DbObject*>& chain,
                                    bool terminal_is_local,
-                                   const T& payload) const {
+                                   const CacheEntry& resolved) const {
   const uint64_t epoch = store_->catalog().schema_epoch();
-  // A terminal that resolved `item` as its own local data never consults the
-  // cache on reads, so an entry keyed on it would be dead weight.
+  // A terminal that resolved `name` as its own local data never consults
+  // the cache on reads, so an entry keyed on it would be dead weight.
   const size_t cached_nodes =
       terminal_is_local ? chain.size() - 1 : chain.size();
   for (size_t i = 0; i < cached_nodes; ++i) {
-    CacheEntry<T>& entry =
-        (*cache)[CacheKey(chain[i]->surrogate().id, item)];
+    CacheEntry& entry = cache_[CacheKey{chain[i]->surrogate().id, item, name}];
+    entry = resolved;
     entry.schema_epoch = epoch;
-    entry.deps.clear();
     for (size_t j = i; j < chain.size(); ++j) {
       entry.deps.emplace_back(chain[j]->surrogate().id, chain[j]->version());
     }
-    entry.payload = payload;
   }
+  if (cache_.size() > kCacheCapacity) TrimCache();
+}
+
+void InheritanceManager::TrimCache() const {
+  const size_t target = kCacheCapacity - kCacheCapacity / 8;
+  uint64_t evicted = 0;
+  // Stale entries first: they can never hit again.
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    if (EntryValid(it->second)) {
+      ++it;
+    } else {
+      it = cache_.erase(it);
+      ++evicted;
+    }
+  }
+  // Then a second-chance sweep, resuming where the last one stopped: an
+  // entry filled or hit since the sweep last passed it survives this pass.
+  auto it = cache_.lower_bound(trim_cursor_);
+  while (cache_.size() > target) {
+    if (it == cache_.end()) it = cache_.begin();
+    if (it->second.referenced) {
+      it->second.referenced = false;
+      ++it;
+    } else {
+      it = cache_.erase(it);
+      ++evicted;
+    }
+  }
+  trim_cursor_ = it == cache_.end() ? CacheKey{} : it->first;
+  m_evictions_->Increment(evicted);
 }
 
 Result<Value> InheritanceManager::GetAttribute(Surrogate s,
@@ -128,13 +172,14 @@ Result<Value> InheritanceManager::GetAttribute(Surrogate s,
   obs::Span span(&obs_->trace, "inherit.get_attribute", m_resolve_us_);
   span.AddAttribute("attr", name);
   m_resolutions_->Increment();
-  CADDB_ASSIGN_OR_RETURN(const DbObject* obj, store_->Get(s));
+  CacheKey key{s.id, Item::kAttribute, name};
+  if (const CacheEntry* hit = Probe(key)) return hit->value;
 
+  CADDB_ASSIGN_OR_RETURN(const DbObject* obj, store_->Get(s));
   if (obj->kind() != ObjKind::kObject) {
     // Relationship objects have no inherited attributes.
     return store_->GetLocalAttribute(s, name);
   }
-
   CADDB_ASSIGN_OR_RETURN(
       const EffectiveSchema* schema,
       store_->catalog().FindEffectiveSchema(obj->type_name()));
@@ -142,45 +187,20 @@ Result<Value> InheritanceManager::GetAttribute(Surrogate s,
     return NotFound("type '" + obj->type_name() + "' has no attribute '" +
                     name + "'");
   }
-  if (!schema->IsInherited(name)) {
-    return obj->LocalAttribute(name);
-  }
-
-  if (cache_enabled_) {
-    if (const Value* hit = Probe(&attr_cache_, CacheKey(s.id, name))) {
-      return *hit;
-    }
-  }
+  if (!schema->IsInherited(name)) return obj->LocalAttribute(name);
 
   // Inherited: resolve through the transmitter chain (view semantics),
   // recording every visited object as a dependency of the result. Unbound
   // inheritors only inherit the attribute *structure*, so the value is null
   // (and depends on exactly the node whose binding is missing).
+  m_cache_misses_->Increment();
   std::vector<const DbObject*> chain;
-  Value resolved = Value::Null();
-  bool terminal_is_local = false;
-  const DbObject* node = obj;
-  const EffectiveSchema* node_schema = schema;
-  while (true) {
-    chain.push_back(node);
-    if (!node_schema->IsInherited(name)) {
-      resolved = node->LocalAttribute(name);
-      terminal_is_local = true;
-      break;
-    }
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) break;
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-
-  if (cache_enabled_) {
-    FillChain(&attr_cache_, name, chain, terminal_is_local, resolved);
-  }
-  return resolved;
+  CADDB_ASSIGN_OR_RETURN(const DbObject* terminal,
+                         WalkChain(obj, schema, name, &chain));
+  CacheEntry resolved;
+  if (terminal != nullptr) resolved.value = terminal->LocalAttribute(name);
+  FillChain(Item::kAttribute, name, chain, terminal != nullptr, resolved);
+  return resolved.value;
 }
 
 Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
@@ -188,8 +208,10 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
   obs::Span span(&obs_->trace, "inherit.get_subclass", m_resolve_us_);
   span.AddAttribute("subclass", name);
   m_resolutions_->Increment();
-  CADDB_ASSIGN_OR_RETURN(const DbObject* obj, store_->Get(s));
+  CacheKey key{s.id, Item::kSubclass, name};
+  if (const CacheEntry* hit = Probe(key)) return hit->members;
 
+  CADDB_ASSIGN_OR_RETURN(const DbObject* obj, store_->Get(s));
   if (obj->kind() != ObjKind::kObject) {
     const std::vector<Surrogate>* members = obj->Subclass(name);
     if (members != nullptr) return *members;
@@ -209,7 +231,6 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
     return NotFound("type '" + obj->type_name() + "' has no subclass '" +
                     name + "'");
   }
-
   CADDB_ASSIGN_OR_RETURN(
       const EffectiveSchema* schema,
       store_->catalog().FindEffectiveSchema(obj->type_name()));
@@ -222,41 +243,18 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
     return members == nullptr ? std::vector<Surrogate>{} : *members;
   }
 
-  if (cache_enabled_) {
-    if (const std::vector<Surrogate>* hit =
-            Probe(&subclass_cache_, CacheKey(s.id, name))) {
-      return *hit;
-    }
-  }
-
   // Same chain walk as GetAttribute: the member list is the terminal
   // transmitter's local subclass, viewed read-only through the chain.
+  m_cache_misses_->Increment();
   std::vector<const DbObject*> chain;
-  std::vector<Surrogate> resolved;
-  bool terminal_is_local = false;
-  const DbObject* node = obj;
-  const EffectiveSchema* node_schema = schema;
-  while (true) {
-    chain.push_back(node);
-    if (!node_schema->IsInherited(name)) {
-      const std::vector<Surrogate>* members = node->Subclass(name);
-      if (members != nullptr) resolved = *members;
-      terminal_is_local = true;
-      break;
-    }
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) break;
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
+  CADDB_ASSIGN_OR_RETURN(const DbObject* terminal,
+                         WalkChain(obj, schema, name, &chain));
+  CacheEntry resolved;
+  if (terminal != nullptr && terminal->Subclass(name) != nullptr) {
+    resolved.members = *terminal->Subclass(name);
   }
-
-  if (cache_enabled_) {
-    FillChain(&subclass_cache_, name, chain, terminal_is_local, resolved);
-  }
-  return resolved;
+  FillChain(Item::kSubclass, name, chain, terminal != nullptr, resolved);
+  return resolved.members;
 }
 
 void InheritanceManager::NotifyChange(Surrogate transmitter,
@@ -326,99 +324,55 @@ Result<std::map<std::string, Value>> InheritanceManager::Snapshot(
   return out;
 }
 
-Result<Value> InheritanceManager::ResolveAttributeUncached(
-    Surrogate s, const std::string& name) const {
-  CADDB_ASSIGN_OR_RETURN(const DbObject* node, store_->Get(s));
+Status InheritanceManager::ResolveUncached(const CacheKey& key,
+                                           CacheEntry* fresh) const {
+  CADDB_ASSIGN_OR_RETURN(const DbObject* obj, store_->Get(Surrogate(key.id)));
   CADDB_ASSIGN_OR_RETURN(
-      const EffectiveSchema* node_schema,
-      store_->catalog().FindEffectiveSchema(node->type_name()));
-  if (node_schema->FindAttribute(name) == nullptr) {
-    return NotFound("type '" + node->type_name() + "' has no attribute '" +
-                    name + "'");
+      const EffectiveSchema* schema,
+      store_->catalog().FindEffectiveSchema(obj->type_name()));
+  std::vector<const DbObject*> chain;
+  CADDB_ASSIGN_OR_RETURN(const DbObject* terminal,
+                         WalkChain(obj, schema, key.name, &chain));
+  if (terminal == nullptr) return OkStatus();  // unbound: structure only
+  if (key.item == Item::kAttribute) {
+    fresh->value = terminal->LocalAttribute(key.name);
+  } else if (terminal->Subclass(key.name) != nullptr) {
+    fresh->members = *terminal->Subclass(key.name);
   }
-  while (node_schema->IsInherited(name)) {
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) return Value::Null();  // unbound: structure only
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-  return node->LocalAttribute(name);
-}
-
-Result<std::vector<Surrogate>> InheritanceManager::ResolveSubclassUncached(
-    Surrogate s, const std::string& name) const {
-  CADDB_ASSIGN_OR_RETURN(const DbObject* node, store_->Get(s));
-  CADDB_ASSIGN_OR_RETURN(
-      const EffectiveSchema* node_schema,
-      store_->catalog().FindEffectiveSchema(node->type_name()));
-  if (node_schema->FindSubclass(name) == nullptr) {
-    return NotFound("type '" + node->type_name() + "' has no subclass '" +
-                    name + "'");
-  }
-  while (node_schema->IsInherited(name)) {
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) return std::vector<Surrogate>{};
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-  const std::vector<Surrogate>* members = node->Subclass(name);
-  return members == nullptr ? std::vector<Surrogate>{} : *members;
+  return OkStatus();
 }
 
 std::vector<std::string> InheritanceManager::AuditCache() const {
   std::vector<std::string> out;
-  auto describe = [](const CacheKey& key) {
-    return "(@" + std::to_string(key.first) + ", '" + key.second + "')";
-  };
-  for (const auto& [key, entry] : attr_cache_) {
-    if (!EntryValid(entry)) continue;  // legal staleness, evicted on probe
-    Result<Value> fresh =
-        ResolveAttributeUncached(Surrogate(key.first), key.second);
-    if (!fresh.ok()) {
-      out.push_back("attribute cache entry " + describe(key) +
-                    " validates but cannot be re-resolved: " +
-                    fresh.status().ToString());
-    } else if (*fresh != entry.payload) {
-      out.push_back("attribute cache entry " + describe(key) + " holds " +
-                    entry.payload.ToString() +
-                    " but a fresh resolution yields " + fresh->ToString());
-    }
-  }
-  for (const auto& [key, entry] : subclass_cache_) {
-    if (!EntryValid(entry)) continue;
-    Result<std::vector<Surrogate>> fresh =
-        ResolveSubclassUncached(Surrogate(key.first), key.second);
-    if (!fresh.ok()) {
-      out.push_back("subclass cache entry " + describe(key) +
-                    " validates but cannot be re-resolved: " +
-                    fresh.status().ToString());
-    } else if (*fresh != entry.payload) {
-      out.push_back("subclass cache entry " + describe(key) + " holds " +
-                    std::to_string(entry.payload.size()) +
+  for (const auto& [key, entry] : cache_) {
+    if (!EntryValid(entry)) continue;  // legal staleness, erased on probe
+    const bool attribute = key.item == Item::kAttribute;
+    const std::string what =
+        std::string(attribute ? "attribute" : "subclass") +
+        " cache entry (@" + std::to_string(key.id) + ", '" + key.name + "')";
+    CacheEntry fresh;
+    Status resolved = ResolveUncached(key, &fresh);
+    if (!resolved.ok()) {
+      out.push_back(what + " validates but cannot be re-resolved: " +
+                    resolved.ToString());
+    } else if (attribute && fresh.value != entry.value) {
+      out.push_back(what + " holds " + entry.value.ToString() +
+                    " but a fresh resolution yields " +
+                    fresh.value.ToString());
+    } else if (!attribute && fresh.members != entry.members) {
+      out.push_back(what + " holds " + std::to_string(entry.members.size()) +
                     " member(s) but a fresh resolution yields " +
-                    std::to_string(fresh->size()));
+                    std::to_string(fresh.members.size()));
     }
   }
   return out;
-}
-
-void InheritanceManager::EnableCache(bool on) {
-  if (on == cache_enabled_) return;
-  cache_enabled_ = on;
-  attr_cache_.clear();
-  subclass_cache_.clear();
 }
 
 void InheritanceManager::ResetCacheStats() {
   m_cache_hits_->Reset();
   m_cache_misses_->Reset();
   m_invalidations_->Reset();
+  m_evictions_->Reset();
 }
 
 }  // namespace caddb

@@ -184,6 +184,7 @@ Status Expand(Database& db, Args args, bool dot, std::ostream& out) {
                                                      INT_MAX));
     options.max_depth = static_cast<int>(depth);
   }
+  auto gate = db.LockStore();
   CADDB_ASSIGN_OR_RETURN(ExpansionNode tree,
                          db.expander().Expand(target, options));
   out << (dot ? Expander::RenderDot(tree) : Expander::Render(tree));
@@ -215,6 +216,7 @@ Status CheckAnalysis(Database& db, Args args, std::ostream& out,
   if (repair && !store) {
     return InvalidArgument("--repair only applies to the store pass");
   }
+  auto gate = db.LockStore();
   auto analyze = [&] {
     analysis::DiagnosticBag bag;
     if (schema) bag.Merge(db.CheckSchema());
@@ -258,6 +260,7 @@ Status Select(Database& db, Args args, std::ostream& out) {
     break;
   }
   // Classes take precedence over type extents.
+  auto gate = db.LockStore();
   Result<std::vector<Surrogate>> hits =
       db.query().SelectFromClass(args[0], predicate);
   if (!hits.ok() && hits.status().code() == Code::kNotFound) {
@@ -777,12 +780,6 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
        }},
   };
   static const Verb kCache[] = {
-      {"off", 0, 0, Always, "cache off",
-       [](Call& c) { c.db().inheritance().EnableCache(false); return c.Ok(); }},
-      {"fine", 0, 0, Always, "cache fine",
-       [](Call& c) { c.db().inheritance().EnableCache(true); return c.Ok(); }},
-      {"on", 0, 0, Always, "cache on",
-       [](Call& c) { c.db().inheritance().EnableCache(true); return c.Ok(); }},
       {"reset-stats", 0, 0, Always, "cache reset-stats",
        [](Call& c) { c.db().inheritance().ResetCacheStats(); return c.Ok(); }},
   };
@@ -922,16 +919,21 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
          }
          if (c.args.size() != 1) return c.Usage();
          CADDB_ASSIGN_OR_RETURN(Surrogate target, ParseRef(c.args[0]));
+         auto gate = c.db().LockStore();
          return c.Ok(c.db().constraints().CheckObject(target));
        },
        kCheck, std::size(kCheck)},
       {"check-deep", 1, 1, Never, "check-deep @<id>", [](Call& c) {
          CADDB_ASSIGN_OR_RETURN(Surrogate target, ParseRef(c.args[0]));
+         auto gate = c.db().LockStore();
          return c.Ok(c.db().constraints().CheckDeep(target));
        }},
-      {"check-all", 0, 0, Never, "check-all",
-       [](Call& c) { return c.Ok(c.db().constraints().CheckAll()); }},
+      {"check-all", 0, 0, Never, "check-all", [](Call& c) {
+         auto gate = c.db().LockStore();
+         return c.Ok(c.db().constraints().CheckAll());
+       }},
       {"violations", 0, 0, Never, "violations", [](Call& c) {
+         auto gate = c.db().LockStore();
          CADDB_ASSIGN_OR_RETURN(auto violations,
                                 c.db().constraints().FindAllViolations());
          for (const auto& v : violations) {
@@ -956,6 +958,7 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
        [](Call& c) { return Expand(c.db(), c.args, true, c.out); }},
       {"components", 1, 1, Never, "components @<id>", [](Call& c) {
          CADDB_ASSIGN_OR_RETURN(Surrogate target, ParseRef(c.args[0]));
+         auto gate = c.db().LockStore();
          CADDB_ASSIGN_OR_RETURN(std::vector<ComponentUse> uses,
                                 c.db().query().ComponentsOf(target));
          for (const ComponentUse& use : uses) {
@@ -967,6 +970,7 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
        }},
       {"where-used", 1, 1, Never, "where-used @<id>", [](Call& c) {
          CADDB_ASSIGN_OR_RETURN(Surrogate target, ParseRef(c.args[0]));
+         auto gate = c.db().LockStore();
          CADDB_ASSIGN_OR_RETURN(std::vector<Surrogate> users,
                                 c.db().query().WhereUsed(target));
          for (Surrogate user : users) c.out << "@" << user.id << " ";
@@ -974,11 +978,13 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
          return OkStatus();
        }},
       {"pending", 1, 1, Never, "pending @<id>", [](Call& c) {
+         auto gate = c.db().LockStore();
          CADDB_ASSIGN_OR_RETURN(auto binding, BindingOf(c.db(), c.args[0]));
          c.out << c.db().notifications().AsValue(binding).ToString() << "\n";
          return OkStatus();
        }},
       {"ack", 1, 1, Always, "ack @<id>", [](Call& c) {
+         auto gate = c.db().LockStore();
          CADDB_ASSIGN_OR_RETURN(auto binding, BindingOf(c.db(), c.args[0]));
          c.db().notifications().Acknowledge(binding);
          return c.Ok();
@@ -988,6 +994,7 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
        [](Call& c) { return Select(c.db(), c.args, c.out); }},
       {"stats", 0, 1, Never, "stats [--format=json]", [](Call& c) {
          CADDB_ASSIGN_OR_RETURN(bool json, c.Json());
+         auto gate = c.db().LockStore();
          DatabaseStats stats = DatabaseStats::Collect(c.db());
          c.out << (json ? stats.ToJson() + "\n" : stats.ToString());
          return OkStatus();
@@ -1031,18 +1038,24 @@ std::span<const Dispatcher::Verb> Dispatcher::Verbs() {
          return OkStatus();
        },
        kLog, std::size(kLog)},
-      {"cache", 0, 0, Never, "cache [off|fine|on|reset-stats]", [](Call& c) {
+      {"cache", 0, 0, Never, "cache [reset-stats]", [](Call& c) {
          const InheritanceManager& inherit = c.db().inheritance();
-         c.out << (inherit.cache_enabled() ? "fine-grained" : "off") << ": "
-               << inherit.cache_entries() << " entries; "
+         auto gate = c.db().LockStore();
+         c.out << inherit.cache_entries() << " entries (cap "
+               << InheritanceManager::kCacheCapacity << "); "
                << inherit.cache_hits() << " hits, " << inherit.cache_misses()
                << " misses, " << inherit.cache_invalidations()
-               << " invalidations\n";
+               << " invalidations, " << inherit.cache_evictions()
+               << " evictions\n";
          return OkStatus();
        },
        kCache, std::size(kCache)},
       {"dump", 1, 1, Always, "dump <path>", [](Call& c) {
-         CADDB_ASSIGN_OR_RETURN(auto dump, persist::Dumper::Dump(c.db()));
+         Result<std::string> dumped = [&] {
+           auto gate = c.db().LockStore();
+           return persist::Dumper::Dump(c.db());
+         }();
+         CADDB_ASSIGN_OR_RETURN(auto dump, std::move(dumped));
          // Atomic + durable (temp file, fsync, rename, directory fsync): a
          // crash mid-dump never leaves a truncated file under the target
          // name.

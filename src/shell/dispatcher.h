@@ -84,8 +84,8 @@ namespace shell {
 ///   log                   event-log status (level, counts, sink state)
 ///   log tail [n] [--format=json]   newest n structured events (default 20)
 ///   log level <debug|info|warn|error|off>   runtime level change
-///   cache [off|fine|on|reset-stats]   resolution-cache mode & stats; the
-///       mode is the database's, so it changes every session
+///   cache [reset-stats]   resolution-cache entries (and cap), hits,
+///       misses, invalidations, evictions; reset-stats zeroes the counts
 ///   dump <path> | load <path>
 ///   wal status [--format=json]   log/recovery telemetry (durable only):
 ///       dir, sync policy, last/synced lsn, live segment, the log's counters

@@ -389,7 +389,6 @@ TEST_F(CorruptedStoreTest, IndexInconsistencyDetected) {
 }
 
 TEST_F(CorruptedStoreTest, StaleCacheEntryDetected) {
-  db_.inheritance().EnableCache(true);
   // Warm the cache through the inheritance chain.
   ASSERT_TRUE(db_.Get(impl_, "Length").ok());
   // Mutate the transmitter *behind the store's back*: DbObject mutators do

@@ -56,7 +56,6 @@ class InheritCacheTest : public ::testing::Test {
 TEST_F(InheritCacheTest, UnbindInvalidatesCachedRead) {
   ASSERT_TRUE(db_.Set(chain1_[0], "A", Value::Int(42)).ok());
   ASSERT_TRUE(db_.Bind(chain1_[1], chain1_[0], "R1").ok());
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[1], "A")->AsInt(), 42) << "cache populated";
   // Unbind touches the *inheritor*, not the transmitter; a cache stamped
   // only with transmitter versions would keep serving 42 here.
@@ -71,7 +70,6 @@ TEST_F(InheritCacheTest, RebindToNewTransmitterUnderCache) {
   ASSERT_TRUE(db_.Set(chain1_[0], "A", Value::Int(1)).ok());
   ASSERT_TRUE(db_.Set(chain2_[0], "A", Value::Int(2)).ok());
   ASSERT_TRUE(db_.Bind(chain1_[1], chain1_[0], "R1").ok());
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[1], "A")->AsInt(), 1);
   ASSERT_TRUE(db_.Unbind(chain1_[1]).ok());
   ASSERT_TRUE(db_.Bind(chain1_[1], chain2_[0], "R1").ok());
@@ -79,27 +77,10 @@ TEST_F(InheritCacheTest, RebindToNewTransmitterUnderCache) {
       << "rebinding must redirect the cached resolution";
 }
 
-// ---- Satellite 2: EnableCache idempotency + ResetCacheStats ----
-
-TEST_F(InheritCacheTest, EnableCacheTwiceKeepsEntriesAndStats) {
-  BindChain(chain1_, 7);
-  inh().EnableCache(true);
-  EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 7);
-  const uint64_t misses = inh().cache_misses();
-  const size_t entries = inh().cache_entries();
-  ASSERT_GT(entries, 0u);
-
-  inh().EnableCache(true);  // must be a no-op, not a clear-and-reset
-  EXPECT_EQ(inh().cache_entries(), entries);
-  EXPECT_EQ(inh().cache_misses(), misses);
-  EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 7);
-  EXPECT_EQ(inh().cache_hits(), 1u)
-      << "re-enabling dropped the warm entries";
-}
+// ---- ResetCacheStats ----
 
 TEST_F(InheritCacheTest, ResetCacheStatsKeepsEntries) {
   BindChain(chain1_, 7);
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 7);
   ASSERT_GT(inh().cache_misses(), 0u);
   const size_t entries = inh().cache_entries();
@@ -120,7 +101,6 @@ TEST_F(InheritCacheTest, FineGrainedSurvivesUnrelatedWrites) {
   BindChain(chain1_, 10);
   BindChain(chain2_, 20);
 
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
   inh().ResetCacheStats();
   // A write on the *other* chain shares no dependency with chain1's entry.
@@ -133,7 +113,6 @@ TEST_F(InheritCacheTest, FineGrainedSurvivesUnrelatedWrites) {
 
 TEST_F(InheritCacheTest, DeepReadWarmsEveryChainLevel) {
   BindChain(chain1_, 5);
-  inh().EnableCache(true);
   // One leaf read resolves through L3, L2, L1 — each gets its own entry.
   // L0 resolves A locally, so it takes no entry.
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 5);
@@ -146,39 +125,49 @@ TEST_F(InheritCacheTest, DeepReadWarmsEveryChainLevel) {
 
 // ---- Satellite 4: depth-4 visibility, including mid-chain rebinding ----
 
-TEST_F(InheritCacheTest, Depth4UpdateVisibleWithCacheOnAndOff) {
+TEST_F(InheritCacheTest, Depth4UpdateVisibleColdAndWarm) {
   BindChain(chain1_, 100);
-  for (bool cached : {false, true}) {
-    SCOPED_TRACE(cached ? "cache on" : "cache off");
-    inh().EnableCache(cached);
+  // Round 1 starts from an empty cache, round 2 from the entries round 1
+  // filled; after every step each entry that still validates must equal a
+  // fresh chain walk.
+  for (int round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     ASSERT_TRUE(db_.Get(chain1_[kDepth], "A").ok());
+    EXPECT_TRUE(inh().AuditCache().empty());
     ASSERT_TRUE(db_.Set(chain1_[0], "A", Value::Int(++tick_)).ok());
+    EXPECT_TRUE(inh().AuditCache().empty());
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), tick_)
         << "root update must be instantly visible 4 hops down";
     // Every intermediate node sees the same value.
     for (int i = 1; i < kDepth; ++i) {
       EXPECT_EQ(db_.Get(chain1_[i], "A")->AsInt(), tick_) << "hop " << i;
     }
+    EXPECT_TRUE(inh().AuditCache().empty());
   }
+  EXPECT_GT(inh().cache_hits(), 0u) << "round 2 read warm entries";
 }
 
 TEST_F(InheritCacheTest, MidChainRebindRedirectsDeepReads) {
   BindChain(chain1_, 10);
   BindChain(chain2_, 20);
-  for (bool cached : {false, true}) {
-    SCOPED_TRACE(cached ? "cache on" : "cache off");
-    inh().EnableCache(cached);
+  for (int round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
+    EXPECT_TRUE(inh().AuditCache().empty());
     // Splice chain1's suffix onto chain2: L2 of chain1 now hangs under
     // L1 of chain2, so the leaf must resolve to chain2's root value.
     ASSERT_TRUE(db_.Unbind(chain1_[2]).ok());
+    EXPECT_TRUE(inh().AuditCache().empty());
     ASSERT_TRUE(db_.Bind(chain1_[2], chain2_[1], "R2").ok());
+    EXPECT_TRUE(inh().AuditCache().empty());
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 20)
         << "deep read must follow the new mid-chain binding";
-    // Splice back for the next mode's round.
+    // Splice back for the next round.
     ASSERT_TRUE(db_.Unbind(chain1_[2]).ok());
     ASSERT_TRUE(db_.Bind(chain1_[2], chain1_[1], "R2").ok());
+    EXPECT_TRUE(inh().AuditCache().empty());
     EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 10);
+    EXPECT_TRUE(inh().AuditCache().empty());
   }
 }
 
@@ -203,7 +192,6 @@ TEST_F(InheritCacheTest, SubclassResolutionCachedAndInvalidated) {
   ASSERT_TRUE(db_.Bind(viewer, holder, "RH").ok());
   ASSERT_TRUE(db_.CreateSubobject(holder, "Parts").ok());
 
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Subclass(viewer, "Parts")->size(), 1u);
   EXPECT_EQ(inh().cache_misses(), 1u);
   EXPECT_EQ(db_.Subclass(viewer, "Parts")->size(), 1u);
@@ -221,7 +209,6 @@ TEST_F(InheritCacheTest, SubclassResolutionCachedAndInvalidated) {
 
 TEST_F(InheritCacheTest, SchemaRegistrationInvalidatesCache) {
   BindChain(chain1_, 9);
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[1], "A")->AsInt(), 9);
   EXPECT_EQ(db_.Get(chain1_[1], "A")->AsInt(), 9);
   EXPECT_EQ(inh().cache_hits(), 1u);
@@ -250,17 +237,17 @@ TEST_F(InheritCacheTest, InheritorsOfReportsDirectInheritors) {
 
 TEST_F(InheritCacheTest, StatsExposeCacheCounters) {
   BindChain(chain1_, 3);
-  inh().EnableCache(true);
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 3);
   EXPECT_EQ(db_.Get(chain1_[kDepth], "A")->AsInt(), 3);
 
   DatabaseStats stats = DatabaseStats::Collect(db_);
-  EXPECT_EQ(stats.cache_mode, "fine-grained");
   // The report snapshots this database's own bundle.
   EXPECT_EQ(stats.metrics.CounterValue("caddb_inherit_cache_hits_total"),
             inh().cache_hits());
   EXPECT_EQ(stats.metrics.CounterValue("caddb_inherit_cache_misses_total"),
             inh().cache_misses());
+  EXPECT_EQ(stats.metrics.CounterValue("caddb_inherit_cache_evictions_total"),
+            inh().cache_evictions());
   EXPECT_GT(inh().cache_hits(), 0u);
   EXPECT_EQ(stats.cache_entries, inh().cache_entries());
   EXPECT_GT(

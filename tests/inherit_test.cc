@@ -159,7 +159,6 @@ TEST_F(InheritTest, SnapshotMaterializesInheritedValues) {
 TEST_F(InheritTest, ResolutionCacheHitsAndInvalidation) {
   ASSERT_TRUE(db_.Set(top_, "A", Value::Int(3)).ok());
   ASSERT_TRUE(db_.Bind(mid_, top_, "R1").ok());
-  db_.inheritance().EnableCache(true);
   EXPECT_EQ(db_.Get(mid_, "A")->AsInt(), 3);
   EXPECT_EQ(db_.inheritance().cache_misses(), 1u);
   EXPECT_EQ(db_.Get(mid_, "A")->AsInt(), 3);
@@ -168,7 +167,8 @@ TEST_F(InheritTest, ResolutionCacheHitsAndInvalidation) {
   ASSERT_TRUE(db_.Set(top_, "A", Value::Int(4)).ok());
   EXPECT_EQ(db_.Get(mid_, "A")->AsInt(), 4) << "no stale cache read";
   EXPECT_EQ(db_.inheritance().cache_misses(), 2u);
-  db_.inheritance().EnableCache(false);
+  EXPECT_EQ(db_.inheritance().cache_invalidations(), 1u);
+  EXPECT_TRUE(db_.inheritance().AuditCache().empty());
 }
 
 TEST_F(InheritTest, UnbindRestoresTypeLevelOnly) {

@@ -147,7 +147,7 @@ TEST(NetServerTest, EveryShellVerbRoundTrips) {
   Ok(client.get(), "trace dump");
   EXPECT_EQ(Ok(client.get(), "trace off"), "ok\n");
   Ok(client.get(), "cache");
-  EXPECT_EQ(Ok(client.get(), "cache fine"), "ok\n");
+  EXPECT_EQ(Ok(client.get(), "cache reset-stats"), "ok\n");
   Ok(client.get(), "wal status");
   Ok(client.get(), "wal status --format=json");
   Ok(client.get(), "checkpoint");

@@ -80,7 +80,6 @@ trace off
 log tail 3 --format=json
 log level warn
 log
-cache on
 cache reset-stats
 cache
 dump fuzz.cdb

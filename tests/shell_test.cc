@@ -92,7 +92,7 @@ TEST(ShellTest, ErrorsAreReportedInlineAndCounted) {
         "expand @1 2147483648", "trace threshold 5ms", "trace threshold -5",
         "log tail -1", "metrics --watch --window=-5", "get @1 W extra junk",
         "checkpoint now", "select Box where", "delete @1 detach-all",
-        "fault disarm --all now", "quit now"}) {
+        "fault disarm --all now", "quit now", "cache on", "cache off"}) {
     const size_t before = shell.error_count();
     std::ostringstream probe;
     EXPECT_TRUE(shell.ExecuteLine(line, probe)) << line;
@@ -577,7 +577,7 @@ TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     for (const char* line :
          {"create Top", "create Mid", "set @1 A i:7", "bind @2 @1 R",
-          "cache on", "get @2 A", "get @2 A", "set @1 A i:8", "get @2 A"}) {
+          "get @2 A", "get @2 A", "set @1 A i:8", "get @2 A"}) {
       std::string output;
       bool command_error = false;
       ASSERT_TRUE((*client)->Execute(line, &output, &command_error).ok());
@@ -614,6 +614,7 @@ TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
         "resolution_cache misses caddb_inherit_cache_misses_total",
         "resolution_cache invalidations "
         "caddb_inherit_cache_invalidations_total",
+        "resolution_cache evictions caddb_inherit_cache_evictions_total",
         "schema_cache hits caddb_catalog_schema_cache_hits_total",
         "schema_cache misses caddb_catalog_schema_cache_misses_total",
         "address connections_accepted caddb_net_connections_total",
@@ -634,7 +635,7 @@ TEST(ShellNetTest, ReportedCountersAreTheRegistryCounters) {
               registry.CounterValue(counter))
         << row;
   }
-  EXPECT_EQ(registry.CounterValue("caddb_net_requests_total"), 9u);
+  EXPECT_EQ(registry.CounterValue("caddb_net_requests_total"), 8u);
   EXPECT_GT(registry.CounterValue("caddb_inherit_cache_hits_total"), 0u);
 }
 
@@ -705,9 +706,6 @@ std::vector<VerbSample> VerbSamples(const std::string& dir) {
       {"log tail 5 --format=json", false},
       {"log level debug", true},
       {"cache", false},
-      {"cache off", true},
-      {"cache fine", true},
-      {"cache on", true},
       {"cache reset-stats", true},
       {"dump " + dir + "/walk.cdb", true},
       {"load " + dir + "/walk.cdb", true},
@@ -734,7 +732,6 @@ struct GatedState {
   size_t armed_sites = 0;
   bool trace_on = false;
   uint64_t slow_threshold_us = 0;
-  bool cache_on = false;
   uint64_t cache_hits = 0;
   obs::LogLevel log_level = obs::LogLevel::kInfo;
 
@@ -750,7 +747,6 @@ struct GatedState {
     }
     s.trace_on = db.observability()->trace.enabled();
     s.slow_threshold_us = db.observability()->trace.slow_threshold_us();
-    s.cache_on = db.inheritance().cache_enabled();
     s.cache_hits = db.inheritance().cache_hits();
     s.log_level = db.observability()->log.level();
     return s;

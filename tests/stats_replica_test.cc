@@ -203,7 +203,6 @@ TEST(StatsReplicaTest, CacheCountsAccumulateAcrossRebuilds) {
     ASSERT_TRUE(shipper.ShipNow().ok());
     auto poll = follower.Poll();
     ASSERT_TRUE(poll.ok() && poll->advanced);
-    follower.db()->inheritance().EnableCache(true);
     for (int read = 0; read < 2; ++read) {
       EXPECT_EQ(follower.db()->Get(impl, "Length")->AsInt(), length);
     }
