@@ -28,12 +28,13 @@
 #      under ASan+UBSan, then a seeded caddb_soak run (primary + follower
 #      + wire readers under the default fault schedule) that must exit 0
 #  11. TSan build + the concurrency tests (lock manager, transactions,
-#      batched-fsync committers, the concurrent metrics/trace registry,
-#      the event-log ring + sink hammer, the shared buffer pool, the
-#      network server and replication daemons, the failpoint registry
-#      hammer, the replication fault matrix on the process-global registry,
-#      the network chaos suite driving the registry-only server counters,
-#      the shell against a live server, follower stats across rebuilds)
+#      the WAL and its group-commit committers, the concurrent
+#      metrics/trace registry, the event-log ring + sink hammer, the
+#      shared buffer pool, the network server and replication daemons,
+#      the failpoint registry hammer, the replication fault matrix on the
+#      process-global registry, the network chaos suite driving the
+#      registry-only server counters, the shell against a live server,
+#      follower stats across rebuilds, the chaos soaks)
 #  12. Bench build: every benchmark target must compile (incl.
 #      bench_disk_check, bench_net, the bench_obs log/history numbers)
 #  13. clang-tidy over src/ (advisory; skipped when clang-tidy is absent)
@@ -270,16 +271,16 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   build-ci/asan-ubsan/examples/caddb_soak "$SOAK_DIR/run" \
       --seed 42 --ops 400 --duration 10s
 
-step "tsan: lock manager + transaction + batched-fsync + obs registry/log + net + net chaos + replication + shell + paged store + resolution cache tests"
+step "tsan: lock manager + transaction + wal group commit + obs registry/log + net + net chaos + replication + shell + paged store + resolution cache + soak tests"
 cmake -B build-ci/tsan -S . -DCADDB_WERROR=ON -DCADDB_TSAN=ON \
       "${GENERATOR_FLAGS[@]}"
 cmake --build build-ci/tsan -j "$JOBS" --target lock_manager_test txn_test \
-      wal_batch_sync_test obs_test obs_log_test net_trace_test \
+      wal_test wal_batch_sync_test obs_test obs_log_test net_trace_test \
       buffer_pool_concurrency_test net_server_test net_daemon_test fault_test \
       fault_net_test replication_test shell_test stats_replica_test \
-      store_paged_test resolution_cache_test
+      store_paged_test resolution_cache_test soak_test
 ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
-      -R '^(lock_manager_test|txn_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test|shell_test|stats_replica_test|store_paged_test|resolution_cache_test)$'
+      -R '^(lock_manager_test|txn_test|wal_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test|shell_test|stats_replica_test|store_paged_test|resolution_cache_test|soak_test)$'
 
 step "bench build: all benchmark targets compile"
 cmake --build build-ci/werror -j "$JOBS" --target \

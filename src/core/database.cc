@@ -44,16 +44,15 @@ Database::~Database() {
   }
 }
 
-Status Database::LogOpLocked(const Record& record, bool* appended) {
+Status Database::LogOpLocked(const Record& record, uint64_t* commit_lsn) {
   if (wal_ == nullptr) return OkStatus();
-  CADDB_RETURN_IF_ERROR(wal_->AppendCommitRecord(record).status());
-  *appended = true;
+  CADDB_ASSIGN_OR_RETURN(*commit_lsn, wal_->AppendCommitRecord(record));
   return OkStatus();
 }
 
-Status Database::FinishOp(Status result, bool appended) {
-  if (appended) {
-    Status durable = wal_->FinishCommit();
+Status Database::FinishOp(Status result, uint64_t commit_lsn) {
+  if (commit_lsn != 0) {
+    Status durable = wal_->FinishCommit(commit_lsn);
     if (result.ok()) result = durable;
   }
   if (result.ok()) MaybeTrimResident();
@@ -139,8 +138,6 @@ Status Database::InitPagedStore(const std::string& dir,
   }
   storage::FileManagerOptions fm;
   fm.read_only = options.read_only;
-  fm.fail_after_writes = options.page_fail_after_writes;
-  fm.error_at_write = options.page_error_at_write;
   const std::string path =
       (std::filesystem::path(dir) / storage::kPageFileName).string();
   CADDB_ASSIGN_OR_RETURN(files_, storage::FileManager::Open(path, fm));
@@ -351,7 +348,7 @@ Status Database::Close() {
 
 Status Database::ExecuteDdl(const std::string& source) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(store_gate_);
@@ -364,10 +361,10 @@ Status Database::ExecuteDdl(const std::string& source) {
       }
     }
     if (result.ok()) {
-      result = LogOpLocked(Record::Ddl(kAutoCommitTxn, source), &appended);
+      result = LogOpLocked(Record::Ddl(kAutoCommitTxn, source), &commit_lsn);
     }
   }
-  return FinishOp(std::move(result), appended);
+  return FinishOp(std::move(result), commit_lsn);
 }
 
 analysis::DiagnosticBag Database::CheckSchema() const {
@@ -402,23 +399,23 @@ analysis::DiagnosticBag Database::Check() const {
 Status Database::CreateClass(const std::string& name,
                              const std::string& type) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(store_gate_);
     result = store_.CreateClass(name, type);
     if (result.ok()) {
       result = LogOpLocked(Record::CreateClass(kAutoCommitTxn, name, type),
-                           &appended);
+                           &commit_lsn);
     }
   }
-  return FinishOp(std::move(result), appended);
+  return FinishOp(std::move(result), commit_lsn);
 }
 
 Result<Surrogate> Database::CreateObject(const std::string& type,
                                          const std::string& class_name) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate created;
   Status result;
   {
@@ -429,17 +426,17 @@ Result<Surrogate> Database::CreateObject(const std::string& type,
       created = *made;
       result = LogOpLocked(
           Record::CreateObject(kAutoCommitTxn, created.id, type, class_name),
-          &appended);
+          &commit_lsn);
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return created;
 }
 
 Result<Surrogate> Database::CreateSubobject(Surrogate parent,
                                             const std::string& subclass) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate created;
   Status result;
   {
@@ -450,10 +447,10 @@ Result<Surrogate> Database::CreateSubobject(Surrogate parent,
       created = *made;
       result = LogOpLocked(Record::CreateSubobject(kAutoCommitTxn, created.id,
                                                    parent.id, subclass),
-                           &appended);
+                           &commit_lsn);
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return created;
 }
 
@@ -475,7 +472,7 @@ Result<Surrogate> Database::CreateRelationship(
     const std::string& rel_type,
     const std::map<std::string, std::vector<Surrogate>>& participants) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate created;
   Status result;
   {
@@ -487,10 +484,10 @@ Result<Surrogate> Database::CreateRelationship(
       result = LogOpLocked(
           Record::CreateRelationship(kAutoCommitTxn, created.id, rel_type,
                                      ParticipantIds(participants)),
-          &appended);
+          &commit_lsn);
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return created;
 }
 
@@ -498,7 +495,7 @@ Result<Surrogate> Database::CreateSubrel(
     Surrogate owner, const std::string& subrel,
     const std::map<std::string, std::vector<Surrogate>>& participants) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate created;
   Status result;
   {
@@ -510,10 +507,10 @@ Result<Surrogate> Database::CreateSubrel(
       result = LogOpLocked(
           Record::CreateSubrel(kAutoCommitTxn, created.id, owner.id, subrel,
                                ParticipantIds(participants)),
-          &appended);
+          &commit_lsn);
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return created;
 }
 
@@ -521,7 +518,7 @@ Result<Surrogate> Database::CreateCheckedSubrel(
     Surrogate owner, const std::string& subrel,
     const std::map<std::string, std::vector<Surrogate>>& participants) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate member;
   Status result;
   {
@@ -540,18 +537,18 @@ Result<Surrogate> Database::CreateCheckedSubrel(
         result = LogOpLocked(
             Record::CreateSubrel(kAutoCommitTxn, member.id, owner.id, subrel,
                                  ParticipantIds(participants)),
-            &appended);
+            &commit_lsn);
       }
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return member;
 }
 
 Result<Surrogate> Database::Bind(Surrogate inheritor, Surrogate transmitter,
                                  const std::string& inher_rel_type) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Surrogate created;
   Status result;
   {
@@ -564,31 +561,31 @@ Result<Surrogate> Database::Bind(Surrogate inheritor, Surrogate transmitter,
       result = LogOpLocked(
           Record::Bind(kAutoCommitTxn, created.id, inheritor.id,
                        transmitter.id, inher_rel_type),
-          &appended);
+          &commit_lsn);
     }
   }
-  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), appended));
+  CADDB_RETURN_IF_ERROR(FinishOp(std::move(result), commit_lsn));
   return created;
 }
 
 Status Database::Unbind(Surrogate inheritor) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(store_gate_);
     result = inheritance_.Unbind(inheritor);
     if (result.ok()) {
-      result =
-          LogOpLocked(Record::Unbind(kAutoCommitTxn, inheritor.id), &appended);
+      result = LogOpLocked(Record::Unbind(kAutoCommitTxn, inheritor.id),
+                           &commit_lsn);
     }
   }
-  return FinishOp(std::move(result), appended);
+  return FinishOp(std::move(result), commit_lsn);
 }
 
 Status Database::Set(Surrogate s, const std::string& attr, Value v) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(store_gate_);
@@ -597,15 +594,15 @@ Status Database::Set(Surrogate s, const std::string& attr, Value v) {
     if (result.ok()) {
       result = LogOpLocked(Record::SetAttribute(kAutoCommitTxn, s.id, attr,
                                                 std::move(logged)),
-                           &appended);
+                           &commit_lsn);
     }
   }
-  return FinishOp(std::move(result), appended);
+  return FinishOp(std::move(result), commit_lsn);
 }
 
 Status Database::Delete(Surrogate s, ObjectStore::DeletePolicy policy) {
   CADDB_RETURN_IF_ERROR(CheckWritable());
-  bool appended = false;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(store_gate_);
@@ -615,10 +612,10 @@ Status Database::Delete(Surrogate s, ObjectStore::DeletePolicy policy) {
           Record::Delete(
               kAutoCommitTxn, s.id,
               policy == ObjectStore::DeletePolicy::kDetachInheritors),
-          &appended);
+          &commit_lsn);
     }
   }
-  return FinishOp(std::move(result), appended);
+  return FinishOp(std::move(result), commit_lsn);
 }
 
 // ---- Gated reads ----

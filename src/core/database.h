@@ -322,11 +322,12 @@ class Database {
   /// Appends `record` as an auto-committed operation when a wal is
   /// attached (must hold store_gate_: the marker lsn and the store
   /// mutation it describes become atomic w.r.t. checkpoint capture);
-  /// `*appended` tells FinishOp whether a durability wait is owed.
-  Status LogOpLocked(const wal::Record& record, bool* appended);
+  /// `*commit_lsn` (left 0 when nothing was appended) tells FinishOp which
+  /// commit point, if any, it owes a durability wait for.
+  Status LogOpLocked(const wal::Record& record, uint64_t* commit_lsn);
   /// Outside the gate: waits for the commit's durability policy, then
   /// trims resident objects to the configured budget.
-  Status FinishOp(Status result, bool appended);
+  Status FinishOp(Status result, uint64_t commit_lsn);
   void MaybeTrimResident();
   void StartCheckpointer(uint64_t interval_ms);
   void StopCheckpointer();

@@ -219,6 +219,12 @@ FailpointRegistry::FailpointRegistry() {
                 "before a page image is written to pages.db", kGeneric);
   (void)Declare(sites::kStoragePageFlush,
                 "before pages.db is fsynced", kGeneric);
+  (void)Declare(sites::kStorageFileCut,
+                "byte budget for pages.db page writes, evaluated when the "
+                "file opens writable: the write straddling `cut=N` is torn, "
+                "later writes are silently dropped and fsync lies "
+                "(simulated crash cut)",
+                KindBit(ActionKind::kCut));
   (void)Declare(sites::kReplicationShip,
                 "per ship attempt: the shipper's fault matrix "
                 "(drop/truncate/duplicate/reorder/corrupt/stall)",

@@ -23,7 +23,8 @@ namespace fault {
 /// Inject(), the domain kinds by the subsystem that owns the site:
 ///
 ///   generic      kError (return a Status), kAbort (std::abort), kDelay
-///   byte budget  kCut (wal.file.cut: bytes beyond `arg` silently dropped)
+///   byte budget  kCut (wal.file.cut, storage.file.cut: bytes beyond `arg`
+///                silently dropped)
 ///   network      kDrop / kTruncate / kReset (sockets)
 ///   replication  kDrop / kTruncate / kDuplicate / kReorder / kCorrupt /
 ///                kStall (the shipper's per-attempt fault matrix)
@@ -197,6 +198,7 @@ inline constexpr char kWalFileCut[] = "wal.file.cut";
 inline constexpr char kWalCheckpointPublish[] = "wal.checkpoint.publish";
 inline constexpr char kStoragePageWrite[] = "storage.page.write";
 inline constexpr char kStoragePageFlush[] = "storage.page.flush";
+inline constexpr char kStorageFileCut[] = "storage.file.cut";
 inline constexpr char kReplicationShip[] = "replication.ship";
 inline constexpr char kReplicationShipManifest[] =
     "replication.ship.manifest";

@@ -15,10 +15,8 @@ namespace replication {
 
 namespace fs = std::filesystem;
 
-Shipper::Shipper(Database* db, std::string replica_dir,
-                 ShipperOptions options)
+Shipper::Shipper(Database* db, std::string replica_dir)
     : db_(db), replica_dir_(std::move(replica_dir)),
-      options_(std::move(options)),
       obs_(obs::SharedOrOwned(db != nullptr ? db->observability() : nullptr,
                               &owned_obs_)) {
   m_attempts_ = obs_->metrics.GetCounter(
@@ -82,9 +80,10 @@ Result<ShipmentReport> Shipper::ShipNow() {
   if (db_ == nullptr || !db_->durable()) {
     return FailedPrecondition("shipper needs a durably opened primary");
   }
-  if (options_.sync_before_ship) {
-    CADDB_RETURN_IF_ERROR(db_->wal()->Sync());
-  }
+  // fsync the log before reading it, so the shipped bytes are the durable
+  // bytes: a follower never learns of records the primary itself could
+  // lose in a crash.
+  CADDB_RETURN_IF_ERROR(db_->wal()->Sync());
   const std::string& wal_dir = db_->wal()->dir();
 
   // Assemble the shipment in memory first: the newest checkpoint plus the

@@ -16,13 +16,6 @@ class Database;
 
 namespace replication {
 
-struct ShipperOptions {
-  /// fsync the primary's log before reading it, so the shipped bytes are
-  /// the durable bytes (a follower never learns of records the primary
-  /// itself could lose in a crash).
-  bool sync_before_ship = true;
-};
-
 /// What one ShipNow did.
 struct ShipmentReport {
   uint64_t seq = 0;          // manifest seq published (0 when none was)
@@ -52,7 +45,7 @@ struct ShipmentReport {
 class Shipper {
  public:
   /// `db` must outlive the Shipper and have been opened durably.
-  Shipper(Database* db, std::string replica_dir, ShipperOptions options = {});
+  Shipper(Database* db, std::string replica_dir);
 
   /// One shipment attempt. Each attempt is one hit of the
   /// `replication.ship` failpoint (arm it with `--skip=N --times=1` to hit
@@ -67,7 +60,6 @@ class Shipper {
  private:
   Database* db_;
   const std::string replica_dir_;
-  const ShipperOptions options_;
   /// The primary database's bundle (a private one when db is null).
   std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;

@@ -53,8 +53,14 @@ Result<std::unique_ptr<FileManager>> FileManager::Open(
     }
     file_pages = static_cast<uint32_t>(st.st_size / kPageSize);
   }
+  uint64_t cut_budget = UINT64_MAX;
+  fault::FiredAction cut;
+  if (!options.read_only && fault::Hit(fault::sites::kStorageFileCut, &cut) &&
+      cut.kind == fault::ActionKind::kCut) {
+    cut_budget = cut.arg;
+  }
   return std::unique_ptr<FileManager>(
-      new FileManager(fd, path, options, file_pages));
+      new FileManager(fd, path, options, file_pages, cut_budget));
 }
 
 FileManager::~FileManager() {
@@ -91,30 +97,25 @@ Status FileManager::WritePage(uint32_t id, const std::string& bytes) {
     return InternalError("page write of " + std::to_string(bytes.size()) +
                          " bytes, want " + std::to_string(kPageSize));
   }
-  uint64_t index;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    index = write_count_++;
+    ++write_count_;
     // The write makes the page real even if the file write below is torn
     // or dropped by fault injection: the allocator and the startup scan
     // must account for it (a healed checkpoint image may land past the
     // old end of file).
     if (id >= next_page_) next_page_ = id + 1;
   }
-  if (index == options_.error_at_write) {
-    return Unavailable("injected page-write failure at write " +
-                       std::to_string(index));
-  }
-  // Registry site for runtime-armed page-write faults (clean error / abort
-  // / delay); the byte-exact torn-write crash matrix below stays on the
-  // per-instance options.
   CADDB_RETURN_IF_ERROR(fault::Inject(fault::sites::kStoragePageWrite));
   size_t limit = kPageSize;
-  if (index > options_.fail_after_writes) {
-    return OkStatus();  // acknowledged but lost — the post-crash writes
-  }
-  if (index == options_.fail_after_writes) {
-    limit = kPageSize / 2;  // torn in half mid-pwrite
+  if (cut_armed_) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (cut_left_ < kPageSize) {
+      limit = static_cast<size_t>(cut_left_);  // torn at the budget
+      cut_crossed_ = true;
+    }
+    cut_left_ -= limit;
+    if (limit == 0) return OkStatus();  // acknowledged but lost
   }
   size_t done = 0;
   while (done < limit) {
@@ -132,11 +133,9 @@ Status FileManager::WritePage(uint32_t id, const std::string& bytes) {
 Status FileManager::Sync() {
   if (options_.read_only || fd_ < 0) return OkStatus();
   CADDB_RETURN_IF_ERROR(fault::Inject(fault::sites::kStoragePageFlush));
-  {
+  if (cut_armed_) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (write_count_ > options_.fail_after_writes) {
-      return OkStatus();  // the durability lie after a simulated crash
-    }
+    if (cut_crossed_) return OkStatus();  // the durability lie after a cut
   }
   if (::fsync(fd_) != 0) return Errno("fsync of page file", path_);
   return OkStatus();

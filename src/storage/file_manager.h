@@ -22,21 +22,18 @@ struct FileManagerOptions {
   /// overlay (SetOverlay) a follower can recover a staged directory without
   /// modifying a single byte of it.
   bool read_only = false;
-
-  /// Crash fault injection for tests: physical page writes with index >=
-  /// fail_after_writes are silently dropped (acknowledged but lost), and the
-  /// write at the boundary is torn in half — the moment a SIGKILL lands
-  /// mid-pwrite. Subsequent Syncs lie, like FailpointFile for the WAL.
-  uint64_t fail_after_writes = UINT64_MAX;
-
-  /// Clean-failure injection: the Nth physical write returns an error
-  /// instead, exercising the checkpoint's restore-dirty-set path.
-  uint64_t error_at_write = UINT64_MAX;
 };
 
 /// Owns the page file: positioned page reads/writes (pread/pwrite), page
 /// allocation with an in-memory freelist seeded by the startup scan, and an
 /// optional read overlay of checkpoint page images for read-only recovery.
+///
+/// Faults come from the failpoint registry: `storage.page.write` and
+/// `storage.page.flush` fail single writes/syncs cleanly, and
+/// `storage.file.cut cut=N`, evaluated once per writable open, is the
+/// simulated crash — N bytes of page writes land, the write straddling
+/// the budget is torn there (a SIGKILL mid-pwrite), every later write is
+/// acknowledged but dropped, and Sync lies once the budget is crossed.
 class FileManager {
  public:
   static Result<std::unique_ptr<FileManager>> Open(const std::string& path,
@@ -89,21 +86,27 @@ class FileManager {
 
  private:
   FileManager(int fd, std::string path, FileManagerOptions options,
-              uint32_t file_pages)
+              uint32_t file_pages, uint64_t cut_budget)
       : fd_(fd),
         path_(std::move(path)),
         options_(options),
-        next_page_(file_pages) {}
+        cut_armed_(cut_budget != UINT64_MAX),
+        next_page_(file_pages),
+        cut_left_(cut_budget) {}
 
   int fd_;
   std::string path_;
   FileManagerOptions options_;
+  /// `storage.file.cut` fired at open; cut_left_ is the remaining budget.
+  const bool cut_armed_;
 
   mutable std::mutex mu_;
   std::set<uint32_t> free_;
   uint32_t next_page_;
   std::map<uint32_t, std::string> overlay_;
   uint64_t write_count_ = 0;
+  uint64_t cut_left_;
+  bool cut_crossed_ = false;  // a byte was dropped: Sync lies from now on
 };
 
 }  // namespace storage

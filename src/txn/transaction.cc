@@ -28,6 +28,7 @@ Status TransactionManager::Commit(TxnId txn) {
   // so log order stays consistent with the 2PL serialization order.
   if (wal_ != nullptr && begin_logged) {
     Status logged;
+    uint64_t commit_lsn = 0;
     {
       // Marker-lsn assignment and removal from the active set happen
       // atomically with respect to checkpoint capture (which snapshots
@@ -38,11 +39,12 @@ Status TransactionManager::Commit(TxnId txn) {
       // update. The fsync wait stays outside the gate.
       std::lock_guard<std::mutex> gate(*store_mu_);
       Result<uint64_t> lsn = wal_->AppendCommitRecord(wal::Record::Commit(txn));
-      logged = lsn.ok() ? OkStatus() : lsn.status();
+      logged = lsn.status();
+      if (lsn.ok()) commit_lsn = *lsn;
       std::lock_guard<std::mutex> lock(mu_);
       txns_.erase(txn);
     }
-    if (logged.ok()) logged = wal_->FinishCommit();
+    if (logged.ok()) logged = wal_->FinishCommit(commit_lsn);
     if (!logged.ok()) {
       locks_->ReleaseAll(txn);
       return logged;

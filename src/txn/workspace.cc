@@ -124,20 +124,20 @@ Status WorkspaceManager::Checkin(WorkspaceId ws) {
   // transaction-manager transaction, so a checkpoint capture could not
   // mask a half-applied batch; instead it must never observe one. Only the
   // commit's durability wait runs outside the gate.
-  uint64_t group = 0;
+  uint64_t commit_lsn = 0;
   Status result;
   {
     std::lock_guard<std::mutex> gate(*store_mu_);
-    result = CheckinLocked(ws, &group);
+    result = CheckinLocked(ws, &commit_lsn);
   }
-  if (wal_ != nullptr && group != 0) {
-    Status durable = wal_->FinishCommit();
+  if (commit_lsn != 0) {
+    Status durable = wal_->FinishCommit(commit_lsn);
     if (result.ok()) result = durable;
   }
   return result;
 }
 
-Status WorkspaceManager::CheckinLocked(WorkspaceId ws, uint64_t* group_out) {
+Status WorkspaceManager::CheckinLocked(WorkspaceId ws, uint64_t* commit_lsn) {
   auto it = workspaces_.find(ws);
   if (it == workspaces_.end()) {
     return NotFound("workspace " + std::to_string(ws) + " does not exist");
@@ -158,7 +158,7 @@ Status WorkspaceManager::CheckinLocked(WorkspaceId ws, uint64_t* group_out) {
   // Phase 2: apply dirty attributes and release checkouts. The writes are
   // logged as one bracketed group under a pseudo-transaction id, so a crash
   // mid-checkin replays either the whole batch or none of it.
-  uint64_t& group = *group_out;
+  uint64_t group = 0;
   auto log = [&](wal::Record record) -> Status {
     if (wal_ == nullptr) return OkStatus();
     if (group == 0) {
@@ -172,7 +172,9 @@ Status WorkspaceManager::CheckinLocked(WorkspaceId ws, uint64_t* group_out) {
   // durability (FinishCommit) after releasing it.
   auto commit_group = [&]() -> Status {
     if (group == 0) return OkStatus();
-    return wal_->AppendCommitRecord(wal::Record::Commit(group)).status();
+    CADDB_ASSIGN_OR_RETURN(
+        *commit_lsn, wal_->AppendCommitRecord(wal::Record::Commit(group)));
+    return OkStatus();
   };
   for (auto& [object_id, state] : it->second.objects) {
     for (auto& [attr, value] : state.dirty) {

@@ -73,7 +73,8 @@ class WorkspaceManager {
   void set_store_gate(std::mutex* gate) { store_mu_ = gate; }
 
  private:
-  Status CheckinLocked(WorkspaceId ws, uint64_t* group);
+  /// Sets `*commit_lsn` once the group's commit marker is appended.
+  Status CheckinLocked(WorkspaceId ws, uint64_t* commit_lsn);
 
   struct CheckedOutObject {
     uint64_t base_version = 0;                // store version at checkout

@@ -1,6 +1,7 @@
 #ifndef CADDB_WAL_LOG_IO_H_
 #define CADDB_WAL_LOG_IO_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,6 +55,8 @@ using FileFactory =
 /// write) and all later Syncs. The caller keeps getting OK, like a process
 /// whose kernel acknowledged writes that never hit the platter; recovery
 /// must cope with the resulting truncated, possibly mid-frame log.
+/// Sync may run concurrently with Append (the WAL's group-commit leader
+/// fsyncs outside the log mutex); Appends are serialized by the caller.
 class FailpointFile : public WritableFile {
  public:
   FailpointFile(std::unique_ptr<WritableFile> base, uint64_t fail_after)
@@ -64,12 +67,12 @@ class FailpointFile : public WritableFile {
   Status Close() override;
 
   /// True once at least one byte has been dropped.
-  bool triggered() const { return triggered_; }
+  bool triggered() const { return triggered_.load(); }
 
  private:
   std::unique_ptr<WritableFile> base_;
   uint64_t budget_;
-  bool triggered_ = false;
+  std::atomic<bool> triggered_{false};
 };
 
 // ---- Frame encoding / decoding ----

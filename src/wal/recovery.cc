@@ -413,19 +413,19 @@ Result<RecoveryReport> Recover(const std::string& dir, Database* db,
     }
   }
 
-  // 5. fsck: the replayed store must pass the static integrity analysis.
-  if (options.fsck_on_open) {
-    report.fsck_ran = true;
-    analysis::DiagnosticBag findings = db->CheckStore();
-    if (findings.HasErrors() && options.repair_on_fsck) {
-      db->store().RepairIndexes();
-      report.repaired = true;
-      findings = db->CheckStore();
-    }
-    if (findings.HasErrors()) {
-      return InternalError("post-recovery fsck failed: " +
-                           findings.Summary());
-    }
+  // 5. fsck: the replayed store must pass the static integrity analysis,
+  // so a replay that produced an inconsistent store fails Open instead of
+  // handing out a corrupt database. On errors, rebuild the secondary
+  // indexes and re-run it once before giving up.
+  report.fsck_ran = true;
+  analysis::DiagnosticBag findings = db->CheckStore();
+  if (findings.HasErrors()) {
+    db->store().RepairIndexes();
+    report.repaired = true;
+    findings = db->CheckStore();
+  }
+  if (findings.HasErrors()) {
+    return InternalError("post-recovery fsck failed: " + findings.Summary());
   }
   obs->metrics
       .GetCounter("caddb_recovery_records_applied_total",

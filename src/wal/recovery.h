@@ -17,13 +17,6 @@ namespace wal {
 struct DurabilityOptions {
   /// Sync policy and obs bundle for the log opened after recovery.
   WalOptions wal;
-  /// Run the store-integrity analysis (Database::CheckStore) at the end of
-  /// recovery, so a replay that produced an inconsistent store fails Open
-  /// instead of handing out a corrupt database.
-  bool fsck_on_open = true;
-  /// If that fsck reports errors, rebuild the secondary indexes
-  /// (ObjectStore::RepairIndexes) and re-run it once before giving up.
-  bool repair_on_fsck = true;
   /// When non-zero, RecoveryReport::fingerprint_at captures the running
   /// applied-record fingerprint as of this lsn (see the report field). The
   /// replication follower uses it to prove that a re-replayed log prefix
@@ -39,10 +32,6 @@ struct DurabilityOptions {
   /// clean resident objects down to this budget (demand paging brings them
   /// back on access). 0 = keep everything resident.
   size_t resident_object_budget = 0;
-  /// Fault injection for the page file (see storage::FileManagerOptions):
-  /// the Nth page write tears/drops, or fails cleanly. Defaults off.
-  uint64_t page_fail_after_writes = ~uint64_t{0};
-  uint64_t page_error_at_write = ~uint64_t{0};
   /// When non-zero, Database::Open starts a background thread running an
   /// incremental checkpoint every this-many milliseconds. Commits are never
   /// paused by it beyond the short capture critical section.

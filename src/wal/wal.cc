@@ -92,7 +92,7 @@ Wal::Wal(std::string dir, WalOptions options, uint64_t next_lsn)
       "caddb_wal_segments_total",
       "Segment files created (one at open, one per checkpoint rotation)");
   m_fsync_us_ = obs_->metrics.GetHistogram(
-      "caddb_wal_fsync_us", "fsync latency (in-line and syncer-thread)");
+      "caddb_wal_fsync_us", "fsync latency");
   m_commits_per_fsync_ = obs_->metrics.GetHistogram(
       "caddb_wal_commits_per_fsync",
       "Commit points made durable by one fsync (group-commit batching)",
@@ -101,18 +101,6 @@ Wal::Wal(std::string dir, WalOptions options, uint64_t next_lsn)
       "caddb_wal_append_us",
       "Append and commit latency (us), recorded whether or not tracing is "
       "enabled");
-}
-
-Wal::~Wal() {
-  // Destruction without Close is the crash path: drop the file unsynced.
-  // The syncer thread still has to be joined (it may be mid-fsync; letting
-  // that finish is harmless — a crash that syncs *more* than required).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    syncer_stop_ = true;
-  }
-  syncer_wake_cv_.notify_all();
-  if (syncer_.joinable()) syncer_.join();
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
@@ -129,9 +117,6 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
   {
     std::lock_guard<std::mutex> lock(wal->mu_);
     CADDB_RETURN_IF_ERROR(wal->OpenSegmentLocked(next_lsn));
-  }
-  if (options.batched_fsync) {
-    wal->syncer_ = std::thread(&Wal::SyncerLoop, wal.get());
   }
   return wal;
 }
@@ -170,64 +155,54 @@ Result<uint64_t> Wal::AppendLocked(std::unique_lock<std::mutex>& lock,
   return lsn;
 }
 
-void Wal::RequestSyncLocked(uint64_t target) {
-  if (target > sync_requested_lsn_) sync_requested_lsn_ = target;
-  syncer_wake_cv_.notify_one();
-}
-
-Status Wal::SyncFileLocked() {
-  uint64_t target = next_lsn_ - 1;
+Status Wal::SyncThroughLocked(std::unique_lock<std::mutex>& lock,
+                              uint64_t target) {
+  sync_done_cv_.wait(lock, [&] {
+    return synced_lsn_ >= target || !sync_error_.ok() || !sync_in_flight_;
+  });
   if (synced_lsn_ >= target) return OkStatus();
-  // Timed directly (no Span): this runs under mu_, and span completion may
-  // invoke observer callbacks that are allowed to call back into the Wal.
-  const uint64_t fsync_start_us = obs::Tracer::NowUs();
-  Status s = fault::Inject(fault::sites::kWalAppendPreFsync);
-  if (s.ok()) s = file_->Sync();
-  m_fsync_us_->Record(obs::Tracer::NowUs() - fsync_start_us);
-  if (!s.ok()) {
-    sync_error_ = s;
-    // Wake batched committers waiting on sync_done_cv_: their predicate
-    // checks sync_error_, and the syncer stands down during rotation, so
-    // this in-line fsync may be the only wake-up they ever get.
-    sync_done_cv_.notify_all();
-    return s;
-  }
-  synced_lsn_ = target;
-  CountFsyncLocked();
-  sync_done_cv_.notify_all();
-  return OkStatus();
-}
-
-void Wal::CountFsyncLocked() {
-  m_fsyncs_->Increment();
-  if (commits_since_fsync_ > 0) {
-    m_commits_per_fsync_->Record(commits_since_fsync_);
-    commits_since_fsync_ = 0;
-  }
-}
-
-Status Wal::SyncLocked(std::unique_lock<std::mutex>& lock) {
-  if (closed_) return FailedPrecondition("wal is closed");
   if (!sync_error_.ok()) return sync_error_;
-  uint64_t target = next_lsn_ - 1;
+  // Leader: this fsync covers every record appended so far (target
+  // included), also those of committers now waiting for it. Committers
+  // keep appending to the same descriptor while it runs (concurrent
+  // write + fsync on one fd is safe); only `covered` is claimed.
+  sync_in_flight_ = true;
   unsynced_commits_ = 0;
-  if (synced_lsn_ >= target) return OkStatus();
-  if (options_.batched_fsync && syncer_.joinable() && !rotating_) {
-    RequestSyncLocked(target);
-    sync_done_cv_.wait(lock, [&] {
-      return synced_lsn_ >= target || !sync_error_.ok();
-    });
-    return sync_error_;
+  WritableFile* file = file_.get();
+  const uint64_t covered = next_lsn_ - 1;
+  lock.unlock();
+  Status s;
+  {
+    obs::Span span(&obs_->trace, "wal.fsync", m_fsync_us_,
+                   /*always_time=*/true);
+    span.AddAttribute("target_lsn", covered);
+    s = fault::Inject(fault::sites::kWalAppendPreFsync);
+    if (s.ok()) s = file->Sync();
   }
-  // In-line path (also taken during rotation, when the syncer stands down).
-  sync_done_cv_.wait(lock, [&] { return !sync_in_flight_; });
-  return SyncFileLocked();
+  lock.lock();
+  sync_in_flight_ = false;
+  if (s.ok()) {
+    synced_lsn_ = covered;
+    m_fsyncs_->Increment();
+    // The commit points this fsync made durable (group-commit batching).
+    if (commits_since_fsync_ > 0) {
+      m_commits_per_fsync_->Record(commits_since_fsync_);
+      commits_since_fsync_ = 0;
+    }
+  } else {
+    sync_error_ = s;
+    CADDB_LOG(&obs_->log, obs::LogLevel::kError, "wal",
+              "fsync failed (log poisoned): " + s.ToString());
+  }
+  sync_done_cv_.notify_all();
+  return s;
 }
 
-Status Wal::CommitPolicyLocked(std::unique_lock<std::mutex>& lock) {
+Status Wal::CommitPolicyLocked(std::unique_lock<std::mutex>& lock,
+                              uint64_t commit_lsn) {
   switch (options_.sync) {
     case SyncPolicy::kAlways:
-      return SyncLocked(lock);
+      return SyncThroughLocked(lock, commit_lsn);
     case SyncPolicy::kBatch: {
       if (unsynced_commits_ == 0) {
         oldest_unsynced_commit_ = std::chrono::steady_clock::now();
@@ -238,15 +213,8 @@ Status Wal::CommitPolicyLocked(std::unique_lock<std::mutex>& lock) {
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - oldest_unsynced_commit_)
               .count() >= static_cast<int64_t>(options_.batch_interval_us);
-      if (full || overdue) {
-        if (options_.batched_fsync && syncer_.joinable()) {
-          // Fire-and-forget: kBatch never promised durability at ack time.
-          unsynced_commits_ = 0;
-          RequestSyncLocked(next_lsn_ - 1);
-          return sync_error_;
-        }
-        return SyncLocked(lock);
-      }
+      // The committer that fills or outlasts the batch waits for its fsync.
+      if (full || overdue) return SyncThroughLocked(lock, commit_lsn);
       return OkStatus();
     }
     case SyncPolicy::kNone:
@@ -266,8 +234,8 @@ Status Wal::AppendCommit(const Record& record) {
   obs::Span span(&obs_->trace, "wal.commit", m_append_us_,
                  /*always_time=*/true);
   std::unique_lock<std::mutex> lock(mu_);
-  CADDB_RETURN_IF_ERROR(AppendCommitLocked(lock, record).status());
-  return CommitPolicyLocked(lock);
+  CADDB_ASSIGN_OR_RETURN(const uint64_t lsn, AppendCommitLocked(lock, record));
+  return CommitPolicyLocked(lock, lsn);
 }
 
 Result<uint64_t> Wal::AppendCommitRecord(const Record& record) {
@@ -293,23 +261,26 @@ obs::TraceContext Wal::last_commit_context() const {
   return last_commit_ctx_;
 }
 
-Status Wal::FinishCommit() {
+Status Wal::FinishCommit(uint64_t commit_lsn) {
   std::unique_lock<std::mutex> lock(mu_);
   if (closed_) return FailedPrecondition("wal is closed");
-  return CommitPolicyLocked(lock);
+  return CommitPolicyLocked(lock, commit_lsn);
 }
 
 Status Wal::Sync() {
   std::unique_lock<std::mutex> lock(mu_);
-  return SyncLocked(lock);
+  if (closed_) return FailedPrecondition("wal is closed");
+  return SyncThroughLocked(lock, next_lsn_ - 1);
 }
 
 Status Wal::RotateAndTruncate(uint64_t retain_from) {
   std::unique_lock<std::mutex> lock(mu_);
+  // One rotation at a time. Block new appends, sync everything appended so
+  // far, then wait out any fsync still in flight: after this, the
+  // segment's bytes are stable and nobody touches the file descriptor we
+  // are about to close.
+  rotate_done_cv_.wait(lock, [&] { return !rotating_; });
   if (closed_) return FailedPrecondition("wal is closed");
-  // Stand the syncer down and block new appends, then drain any in-flight
-  // fsync: after this, the segment's bytes are stable and nobody touches
-  // the file descriptor we are about to close.
   rotating_ = true;
   struct RotationGuard {
     Wal* wal;
@@ -318,9 +289,8 @@ Status Wal::RotateAndTruncate(uint64_t retain_from) {
       wal->rotate_done_cv_.notify_all();
     }
   } guard{this};
+  CADDB_RETURN_IF_ERROR(SyncThroughLocked(lock, next_lsn_ - 1));
   sync_done_cv_.wait(lock, [&] { return !sync_in_flight_; });
-  CADDB_RETURN_IF_ERROR(SyncFileLocked());
-  unsynced_commits_ = 0;
   CADDB_RETURN_IF_ERROR(file_->Close());
   const uint64_t old_start = segment_start_lsn_;
   CADDB_RETURN_IF_ERROR(OpenSegmentLocked(next_lsn_));
@@ -348,60 +318,13 @@ Status Wal::RotateAndTruncate(uint64_t retain_from) {
   return SyncDir(dir_);
 }
 
-void Wal::SyncerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    syncer_wake_cv_.wait(lock, [&] {
-      return syncer_stop_ ||
-             (!rotating_ && sync_error_.ok() &&
-              sync_requested_lsn_ > synced_lsn_);
-    });
-    if (syncer_stop_) return;
-    WritableFile* file = file_.get();
-    uint64_t target = next_lsn_ - 1;
-    sync_in_flight_ = true;
-    lock.unlock();
-    // The fsync runs without the mutex: committers keep appending to the
-    // same fd meanwhile (concurrent write+fsync on one descriptor is
-    // safe; the fsync simply covers whatever had been written when the
-    // kernel processed it — we only *claim* `target`).
-    Status s;
-    {
-      obs::Span span(&obs_->trace, "wal.fsync", m_fsync_us_,
-                     /*always_time=*/true);
-      span.AddAttribute("target_lsn", target);
-      s = file->Sync();
-    }
-    lock.lock();
-    sync_in_flight_ = false;
-    if (!s.ok()) {
-      sync_error_ = s;
-      CADDB_LOG(&obs_->log, obs::LogLevel::kError, "wal",
-                "fsync failed (log poisoned): " + s.ToString());
-    } else {
-      // Rotation waits for !sync_in_flight_ before swapping file_, so the
-      // descriptor we synced is still the live segment.
-      if (target > synced_lsn_) synced_lsn_ = target;
-      CountFsyncLocked();
-    }
-    sync_done_cv_.notify_all();
-  }
-}
-
 Status Wal::Close() {
   std::unique_lock<std::mutex> lock(mu_);
+  rotate_done_cv_.wait(lock, [&] { return !rotating_; });
   if (closed_) return OkStatus();
-  Status synced = SyncLocked(lock);
+  closed_ = true;  // appends, commits and syncs fail from here on
+  Status synced = SyncThroughLocked(lock, next_lsn_ - 1);
   sync_done_cv_.wait(lock, [&] { return !sync_in_flight_; });
-  closed_ = true;
-  syncer_stop_ = true;
-  syncer_wake_cv_.notify_all();
-  rotate_done_cv_.notify_all();
-  if (syncer_.joinable()) {
-    lock.unlock();
-    syncer_.join();
-    lock.lock();
-  }
   CADDB_RETURN_IF_ERROR(synced);
   return file_->Close();
 }

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/observability.h"
@@ -46,14 +45,6 @@ struct WalOptions {
   size_t batch_commits = 32;
   /// ...or once the oldest unsynced commit is this old.
   uint64_t batch_interval_us = 1000;
-  /// Move fsyncs to a dedicated syncer thread: committers enqueue their
-  /// target lsn and wait (SyncPolicy::kAlways) or continue
-  /// (kBatch/kNone); one fsync then acknowledges every commit buffered
-  /// before it, and — unlike the in-line path — the fsync itself runs
-  /// outside the Wal mutex, so concurrent committers append while the
-  /// previous batch is still being made durable. A failed fsync is sticky:
-  /// every later commit/sync reports it.
-  bool batched_fsync = false;
   /// Metrics/trace bundle the log reports into (not owned; must outlive the
   /// Wal). Null gives the Wal a private bundle (obs::SharedOrOwned).
   /// Database::Open injects the database's own bundle here.
@@ -94,8 +85,11 @@ std::string SegmentFileName(uint64_t start_lsn);
 /// records in numbered segment files, group-commit batching, and rotation
 /// with truncation at checkpoints (the only time a segment closes).
 /// Thread-safe — the transaction manager appends from concurrent
-/// committers; one fsync then covers every record buffered before it
-/// (group commit).
+/// committers. Group commit needs no helper thread: the first committer
+/// that needs an fsync becomes the leader and runs it outside the log
+/// mutex, covering every record buffered before it; committers arriving
+/// meanwhile append and wait for it, and one of them leads the next. A
+/// failed fsync is sticky: every later commit/sync reports it.
 ///
 /// The Wal never reads its own files; recovery (wal/recovery.h) scans
 /// segments independently before a Wal is opened for the new process, and
@@ -112,7 +106,6 @@ class Wal {
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
-  ~Wal();
 
   /// Appends without forcing a sync: transaction-interior records, whose
   /// durability rides on the following commit marker. Returns the lsn.
@@ -128,10 +121,11 @@ class Wal {
   /// gate (so checkpoint capture observes marker-lsn assignment and
   /// active-set changes atomically), releases the gate, then waits for
   /// durability. AppendCommitRecord appends the marker and counts the
-  /// commit point, returning its lsn; FinishCommit applies the sync policy.
-  /// AppendCommit is the fused form.
+  /// commit point, returning its lsn; FinishCommit applies the sync policy
+  /// to that lsn (kAlways returns once an fsync covers it). AppendCommit is
+  /// the fused form.
   Result<uint64_t> AppendCommitRecord(const Record& record);
-  Status FinishCommit();
+  Status FinishCommit(uint64_t commit_lsn);
 
   /// Forces everything appended so far to disk.
   Status Sync();
@@ -148,6 +142,7 @@ class Wal {
   Status RotateAndTruncate(uint64_t retain_from_lsn = 0);
 
   /// Syncs and closes the live segment. The Wal is unusable afterwards.
+  /// Destroying a Wal without Close is the crash path: nothing is synced.
   Status Close();
 
   /// Allocates a pseudo-transaction id for a multi-record atomic group
@@ -179,18 +174,17 @@ class Wal {
   /// commits are counted, shared by AppendCommit and AppendCommitRecord.
   Result<uint64_t> AppendCommitLocked(std::unique_lock<std::mutex>& lock,
                                       const Record& record);
-  /// The commit-time sync-policy switch: FinishCommit's body.
-  Status CommitPolicyLocked(std::unique_lock<std::mutex>& lock);
-  /// Makes everything appended so far durable — in-line fsync, or a
-  /// request + wait on the syncer thread when batched_fsync is on.
-  Status SyncLocked(std::unique_lock<std::mutex>& lock);
-  /// In-line fsync of the live file; requires no syncer fsync in flight.
-  Status SyncFileLocked();
-  /// Counts one completed fsync and the commit points it made durable.
-  void CountFsyncLocked();
-  /// Asks the syncer thread to cover lsns through `target`.
-  void RequestSyncLocked(uint64_t target);
-  void SyncerLoop();
+  /// The commit-time sync-policy switch for the commit point at
+  /// `commit_lsn`: FinishCommit's body.
+  Status CommitPolicyLocked(std::unique_lock<std::mutex>& lock,
+                            uint64_t commit_lsn);
+  /// The one fsync path. Returns once synced_lsn_ covers `target`, or the
+  /// sticky error once an fsync failed first. While another caller's fsync
+  /// is in flight it waits for it; otherwise it leads: captures the live
+  /// file and the last appended lsn, drops `lock` for the fsync, then
+  /// publishes synced_lsn_ and wakes the waiters.
+  Status SyncThroughLocked(std::unique_lock<std::mutex>& lock,
+                           uint64_t target);
 
   const std::string dir_;
   const WalOptions options_;
@@ -219,15 +213,11 @@ class Wal {
   uint64_t next_group_txn_ = (1ull << 62) + 1;
   obs::TraceContext last_commit_ctx_;  // guarded by mu_
 
-  // Batched-fsync machinery (idle unless options_.batched_fsync).
-  std::thread syncer_;
-  std::condition_variable syncer_wake_cv_;  // work for the syncer
-  std::condition_variable sync_done_cv_;    // synced_lsn_ advanced / drained
+  // Group commit: the leader's fsync runs outside mu_.
+  std::condition_variable sync_done_cv_;    // leader finished an fsync
   std::condition_variable rotate_done_cv_;  // appenders blocked by rotation
-  bool syncer_stop_ = false;
   bool sync_in_flight_ = false;
   bool rotating_ = false;
-  uint64_t sync_requested_lsn_ = 0;
   Status sync_error_;  // sticky: first failed fsync poisons the log
 };
 

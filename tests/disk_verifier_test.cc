@@ -303,9 +303,18 @@ TEST(DiskVerifierTest, CrashAtPageFlushFailpointsVerifiesWithZeroErrors) {
     }
     const std::string dir = TestDir("crash_" + std::to_string(n));
     {
+      // Disarms on every exit, so the cut never reaches the checks below.
+      struct DisarmOnExit {
+        ~DisarmOnExit() { fault::FailpointRegistry::Global().DisarmAll(); }
+      } disarm;
+      // n whole pages land; write n is torn in half.
+      ASSERT_TRUE(fault::FailpointRegistry::Global()
+                      .ArmFromString("storage.file.cut cut=" +
+                                     std::to_string(n * storage::kPageSize +
+                                                    storage::kPageSize / 2))
+                      .ok());
       wal::DurabilityOptions options;
       options.buffer_pool_pages = 4;
-      options.page_fail_after_writes = n;
       auto db = Database::Open(dir, options);
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       size_t marks = 0;

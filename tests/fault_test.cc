@@ -331,12 +331,23 @@ TEST(FailpointRegistry, GlobalDeclaresCanonicalSiteTable) {
   for (const char* name :
        {sites::kWalAppendPreFsync, sites::kWalFileCut,
         sites::kWalCheckpointPublish, sites::kStoragePageWrite,
-        sites::kStoragePageFlush, sites::kReplicationShip,
-        sites::kReplicationShipManifest, sites::kNetSessionWrite,
-        sites::kNetSessionRead, sites::kNetClientWrite,
-        sites::kNetClientRead}) {
+        sites::kStoragePageFlush, sites::kStorageFileCut,
+        sites::kReplicationShip, sites::kReplicationShipManifest,
+        sites::kNetSessionWrite, sites::kNetSessionRead,
+        sites::kNetClientWrite, sites::kNetClientRead}) {
     EXPECT_TRUE(has(name)) << name;
   }
+  // The page-file cut is a byte budget only: a clean error belongs on
+  // storage.page.write, so arming the cut site with one is refused.
+  Status s =
+      FailpointRegistry::Global().ArmFromString("storage.file.cut error");
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find(sites::kStorageFileCut), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(FailpointRegistry::Global()
+                  .ArmFromString("storage.file.cut cut=4096")
+                  .ok());
+  FailpointRegistry::Global().DisarmAll();
 }
 
 // ---------------------------------------------------------------------------

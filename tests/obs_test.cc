@@ -545,8 +545,9 @@ TEST(BundleTest, WalAppendAndCommitLatencyIsTimedWithTracingOff) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   ASSERT_TRUE((*log)->Append(wal::Record::Begin(1)).ok());
   ASSERT_TRUE((*log)->AppendCommit(wal::Record::Commit(1)).ok());
-  ASSERT_TRUE((*log)->AppendCommitRecord(wal::Record::Commit(2)).ok());
-  ASSERT_TRUE((*log)->FinishCommit().ok());
+  Result<uint64_t> lsn = (*log)->AppendCommitRecord(wal::Record::Commit(2));
+  ASSERT_TRUE(lsn.ok());
+  ASSERT_TRUE((*log)->FinishCommit(*lsn).ok());
   EXPECT_EQ(bundle.metrics.GetHistogram("caddb_wal_append_us")->count(), 3u);
   EXPECT_EQ(bundle.trace.total_spans(), 0u);
   ASSERT_TRUE((*log)->Close().ok());

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/failpoint.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "storage/page.h"
@@ -34,6 +35,26 @@ std::string TestDir(const std::string& name) {
 
 std::string PagePath(const std::string& dir) {
   return (fs::path(dir) / kPageFileName).string();
+}
+
+/// Arms `directive` on the global failpoint registry for one scope and
+/// disarms every site on exit, so a fault never reaches a later case.
+class ScopedFault {
+ public:
+  explicit ScopedFault(const std::string& directive) {
+    Status armed = fault::FailpointRegistry::Global().ArmFromString(directive);
+    EXPECT_TRUE(armed.ok()) << armed.ToString();
+  }
+  ~ScopedFault() { fault::FailpointRegistry::Global().DisarmAll(); }
+  ScopedFault(const ScopedFault&) = delete;
+  ScopedFault& operator=(const ScopedFault&) = delete;
+};
+
+/// The `storage.file.cut` directive that lands `whole` page writes and
+/// tears the next one in half.
+std::string CutAfterPages(uint64_t whole) {
+  return "storage.file.cut cut=" +
+         std::to_string(whole * kPageSize + kPageSize / 2);
 }
 
 // ---- Page ----
@@ -192,11 +213,10 @@ TEST(FileManagerTest, OverlayServesImagesWithoutTouchingTheFile) {
   EXPECT_EQ(**parsed->Read(0), "healed");
 }
 
-TEST(FileManagerTest, ErrorAtWriteFailsCleanly) {
+TEST(FileManagerTest, InjectedWriteErrorFailsCleanly) {
   std::string dir = TestDir("fm_error");
-  FileManagerOptions options;
-  options.error_at_write = 1;
-  auto fm = FileManager::Open(PagePath(dir), options);
+  ScopedFault fault("storage.page.write error --skip=1 --times=1");
+  auto fm = FileManager::Open(PagePath(dir), {});
   ASSERT_TRUE(fm.ok());
   Page page(0);
   ASSERT_TRUE((*fm)->WritePage(0, page.Serialize()).ok());
@@ -205,12 +225,11 @@ TEST(FileManagerTest, ErrorAtWriteFailsCleanly) {
   EXPECT_TRUE((*fm)->WritePage(2, Page(2).Serialize()).ok());
 }
 
-TEST(FileManagerTest, FailAfterWritesTearsTheBoundaryWrite) {
+TEST(FileManagerTest, FileCutTearsTheBoundaryWrite) {
   std::string dir = TestDir("fm_torn");
   {
-    FileManagerOptions options;
-    options.fail_after_writes = 1;
-    auto fm = FileManager::Open(PagePath(dir), options);
+    ScopedFault fault(CutAfterPages(1));
+    auto fm = FileManager::Open(PagePath(dir), {});
     ASSERT_TRUE(fm.ok());
     Page p0(0);
     ASSERT_TRUE(p0.Insert("torn").ok());
@@ -238,9 +257,8 @@ TEST(FileManagerTest, FailAfterWritesTearsTheBoundaryWrite) {
 TEST(FileManagerTest, TornTailPageIsTrimmedToAHoleOnReopen) {
   std::string dir = TestDir("fm_torn_tail");
   {
-    FileManagerOptions options;
-    options.fail_after_writes = 1;
-    auto fm = FileManager::Open(PagePath(dir), options);
+    ScopedFault fault(CutAfterPages(1));
+    auto fm = FileManager::Open(PagePath(dir), {});
     ASSERT_TRUE(fm.ok());
     Page p0(0);
     ASSERT_TRUE(p0.Insert("durable").ok());
@@ -494,9 +512,9 @@ TEST(PagedHeapTest, BatchImagesCompleteAndSurviveReopen) {
 
 TEST(PagedHeapTest, FailedBatchKeepsPagesPinnedForRetry) {
   std::string dir = TestDir("heap_retry");
-  FileManagerOptions options;
-  options.error_at_write = 0;  // first physical write fails cleanly
-  auto fm = FileManager::Open(PagePath(dir), options);
+  // The first physical write fails cleanly.
+  ScopedFault fault("storage.page.write error --times=1");
+  auto fm = FileManager::Open(PagePath(dir), {});
   ASSERT_TRUE(fm.ok());
   BufferPool pool(fm->get(), BufferPoolOptions{});
   PagedHeap heap(fm->get(), &pool);

@@ -14,6 +14,7 @@
 
 #include "analysis/diagnostics.h"
 #include "core/database.h"
+#include "fault/failpoint.h"
 #include "persist/dump.h"
 #include "shell/dispatcher.h"
 #include "storage/page.h"
@@ -205,9 +206,10 @@ TEST(StorePagedTest, CrashAtEveryPageFlushFailpointRecovers) {
   }
   ASSERT_GT(total_writes, 10u) << "workload exercises too few page writes";
 
-  // Pass 2 — the matrix: tear page write N mid-pwrite (every write after
-  // it is dropped and fsync lies, i.e. SIGKILL), stop the workload at the
-  // first durability point past the tear, "crash", and reopen clean. The
+  // Pass 2 — the matrix: tear page write N mid-pwrite with the
+  // `storage.file.cut` failpoint (every write after it is dropped and
+  // fsync lies, i.e. SIGKILL), stop the workload at the first durability
+  // point past the tear, "crash", and reopen clean. The
   // published checkpoint's page images must heal every torn page, and the
   // recovered state must equal the oracle at that durability point.
   for (uint64_t n = 0; n < total_writes; ++n) {
@@ -221,9 +223,18 @@ TEST(StorePagedTest, CrashAtEveryPageFlushFailpointRecovers) {
     }
     const std::string dir = TestDir("matrix_" + std::to_string(n));
     {
+      // Disarms on every exit, so the cut never reaches the reopen below.
+      struct DisarmOnExit {
+        ~DisarmOnExit() { fault::FailpointRegistry::Global().DisarmAll(); }
+      } disarm;
+      // n whole pages land; write n is torn in half.
+      ASSERT_TRUE(fault::FailpointRegistry::Global()
+                      .ArmFromString("storage.file.cut cut=" +
+                                     std::to_string(n * storage::kPageSize +
+                                                    storage::kPageSize / 2))
+                      .ok());
       DurabilityOptions options;
       options.buffer_pool_pages = kPoolPages;
-      options.page_fail_after_writes = n;
       auto db = Database::Open(dir, options);
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       size_t marks = 0;
@@ -249,9 +260,15 @@ TEST(StorePagedTest, CleanPageWriteErrorFailsCheckpointButKeepsTheBatch) {
   // the store's dirty bookkeeping survives, and the next checkpoint (error
   // burned off) lands everything.
   const std::string dir = TestDir("clean_error");
-  DurabilityOptions options;
-  options.page_error_at_write = 0;  // very first page write fails
-  auto db = Database::Open(dir, options);
+  // Disarms on every exit, so the error never reaches a later case.
+  struct DisarmOnExit {
+    ~DisarmOnExit() { fault::FailpointRegistry::Global().DisarmAll(); }
+  } disarm;
+  // The very first page write fails.
+  ASSERT_TRUE(fault::FailpointRegistry::Global()
+                  .ArmFromString("storage.page.write error --times=1")
+                  .ok());
+  auto db = Database::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->ExecuteDdl(kGateSchema).ok());
   Surrogate gate = (*db)->CreateObject("Gate").value();
