@@ -3,7 +3,9 @@
 #
 #   1. Tier-1: warnings-as-errors build + full ctest suite
 #   2. ASan + UBSan build + full ctest suite
-#   3. Crash-recovery smoke: the fault-injection matrix under ASan
+#   3. Crash-recovery smoke: the fault-injection matrix plus the binary
+#      codec's round-trip suite and seeded decoder fuzz (page payloads, WAL
+#      records, checkpoint bodies) under ASan
 #   4. Paged-store smoke: the page/buffer-pool unit tests plus the
 #      crash-at-every-page-flush matrix under ASan+UBSan
 #   5. Replication smoke: shipper/follower fault matrix + the kill -9
@@ -64,10 +66,11 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
 
 step "crash-recovery smoke: fault-injection matrix under asan+ubsan"
 # Re-runs just the durability tests with verbose failure output; a torn-log
-# replay that touches freed memory or trips UB fails loudly here.
+# replay, or a mutated page payload, log record or checkpoint body, that
+# touches freed memory, reads past its buffer or trips UB fails loudly here.
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-ci/asan-ubsan --output-on-failure \
-        -R '^(wal_test|wal_recovery_test)$'
+        -R '^(wal_test|wal_recovery_test|codec_test|codec_fuzz_test)$'
 
 step "paged-store smoke: page/pool units + page-flush crash matrix under asan+ubsan"
 # storage_test covers the slotted page, file manager failpoints, and the

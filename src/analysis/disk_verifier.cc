@@ -17,6 +17,8 @@
 #include "storage/heap_record.h"
 #include "storage/page.h"
 #include "storage/paged_heap.h"
+#include "store/object_codec.h"
+#include "util/bytes.h"
 #include "wal/checkpoint.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
@@ -287,15 +289,6 @@ void AuditWal(VerifyPass* pass) {
 
 // ---- Pass C: pages.db on the healed view ----
 
-/// First line of an object payload is "obj <surrogate> ..."; the record key
-/// must agree with it.
-bool PayloadSurrogate(const std::string& payload, uint64_t* id) {
-  unsigned long long value = 0;
-  if (std::sscanf(payload.c_str(), "obj %llu", &value) != 1) return false;
-  *id = value;
-  return true;
-}
-
 void AuditPages(VerifyPass* pass) {
   namespace hr = storage::heap_record;
   const std::string path =
@@ -480,17 +473,20 @@ void AuditPages(VerifyPass* pass) {
                    where);
             continue;
           }
-          uint64_t object = hr::GetU64(record.data());
-          uint64_t payload_id = 0;
-          if (!PayloadSurrogate(record.substr(hr::kDataHeaderBytes),
-                                &payload_id)) {
+          uint64_t object = bytes::LoadU64(record.data());
+          Result<std::unique_ptr<DbObject>> decoded =
+              store_codec::DecodeObjectPayload(
+                  record.substr(hr::kDataHeaderBytes));
+          if (!decoded.ok()) {
             Report(pass, "CAD304", Severity::kError,
-                   "record payload is not an encoded object", where);
-          } else if (payload_id != object) {
+                   "record payload is not an encoded object (" +
+                       decoded.status().message() + ")",
+                   where);
+          } else if ((*decoded)->surrogate().id != object) {
             Report(pass, "CAD304", Severity::kError,
                    "record is keyed @" + std::to_string(object) +
                        " but its payload encodes @" +
-                       std::to_string(payload_id),
+                       std::to_string((*decoded)->surrogate().id),
                    where);
           }
           auto [it, inserted] =

@@ -2,38 +2,18 @@
 
 #include <cstdio>
 
+#include "util/bytes.h"
 #include "wal/crc32c.h"
 
 namespace caddb {
 namespace net {
 
+using bytes::AppendU32;
+using bytes::AppendU64;
+using bytes::LoadU32;
+using bytes::LoadU64;
+
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xff);
-  bytes[1] = static_cast<char>((v >> 8) & 0xff);
-  bytes[2] = static_cast<char>((v >> 16) & 0xff);
-  bytes[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(bytes, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24);
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
 
 bool ValidFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -49,14 +29,14 @@ Status ProtocolError(const std::string& what) {
 std::string EncodeFrame(FrameType type, const std::string& payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
-  PutU32(&out, kFrameMagic);
+  AppendU32(&out, kFrameMagic);
   out.push_back(static_cast<char>(kProtocolVersion));
   out.push_back(static_cast<char>(type));
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
+  AppendU32(&out, static_cast<uint32_t>(payload.size()));
   out.append(payload);
   // CRC over version..payload: everything after the magic, before the CRC.
   const uint32_t crc = wal::Crc32c(out.data() + 4, out.size() - 4);
-  PutU32(&out, wal::Crc32cMask(crc));
+  AppendU32(&out, wal::Crc32cMask(crc));
   return out;
 }
 
@@ -70,7 +50,7 @@ Status FrameDecoder::Feed(const void* data, size_t n) {
 Status FrameDecoder::Parse() {
   while (buffer_.size() - consumed_ >= kFrameHeaderSize) {
     const char* p = buffer_.data() + consumed_;
-    const uint32_t magic = GetU32(p);
+    const uint32_t magic = LoadU32(p);
     if (magic != kFrameMagic) {
       return ProtocolError("bad frame magic 0x" + [&] {
         char hex[16];
@@ -87,7 +67,7 @@ Status FrameDecoder::Parse() {
     if (!ValidFrameType(type)) {
       return ProtocolError("unknown frame type " + std::to_string(type));
     }
-    const uint32_t length = GetU32(p + 6);
+    const uint32_t length = LoadU32(p + 6);
     if (length > kMaxFramePayload) {
       return ProtocolError("oversized frame: " + std::to_string(length) +
                            " bytes (max " + std::to_string(kMaxFramePayload) +
@@ -96,7 +76,7 @@ Status FrameDecoder::Parse() {
     const size_t total = kFrameHeaderSize + length + kFrameTrailerSize;
     if (buffer_.size() - consumed_ < total) break;  // wait for more bytes
     const uint32_t stored =
-        wal::Crc32cUnmask(GetU32(p + kFrameHeaderSize + length));
+        wal::Crc32cUnmask(LoadU32(p + kFrameHeaderSize + length));
     const uint32_t actual =
         wal::Crc32c(p + 4, kFrameHeaderSize - 4 + length);
     if (stored != actual) {
@@ -133,8 +113,8 @@ void AppendTraceExt(std::string* out, const obs::TraceContext& ctx) {
   out->push_back('\0');
   out->push_back('T');
   out->push_back('1');
-  PutU64(out, ctx.trace_id);
-  PutU64(out, ctx.parent_span_id);
+  AppendU64(out, ctx.trace_id);
+  AppendU64(out, ctx.parent_span_id);
 }
 
 // Consumes a trace extension at `*offset` if one is present; advances the
@@ -142,17 +122,17 @@ void AppendTraceExt(std::string* out, const obs::TraceContext& ctx) {
 // well-formed extension is.
 Status ConsumeTraceExt(const std::string& payload, size_t* offset,
                        obs::TraceContext* ctx) {
-  *ctx = obs::TraceContext{};
-  if (*offset >= payload.size() || payload[*offset] != '\0') {
-    return OkStatus();
+  obs::TraceContext parsed;
+  if (*offset < payload.size() && payload[*offset] == '\0') {
+    if (payload.size() < *offset + kTraceExtSize ||
+        payload[*offset + 1] != 'T' || payload[*offset + 2] != '1') {
+      return ProtocolError("malformed trace extension");
+    }
+    parsed.trace_id = LoadU64(payload.data() + *offset + 3);
+    parsed.parent_span_id = LoadU64(payload.data() + *offset + 11);
+    *offset += kTraceExtSize;
   }
-  if (payload.size() < *offset + kTraceExtSize ||
-      payload[*offset + 1] != 'T' || payload[*offset + 2] != '1') {
-    return ProtocolError("malformed trace extension");
-  }
-  ctx->trace_id = GetU64(payload.data() + *offset + 3);
-  ctx->parent_span_id = GetU64(payload.data() + *offset + 11);
-  *offset += kTraceExtSize;
+  if (ctx != nullptr) *ctx = parsed;
   return OkStatus();
 }
 
@@ -178,29 +158,19 @@ bool BannerHasCapability(const std::string& banner, const std::string& cap) {
   return false;
 }
 
-std::string EncodeRequestPayload(uint64_t id, const std::string& line) {
-  return EncodeRequestPayload(id, line, obs::TraceContext{});
-}
-
 std::string EncodeRequestPayload(uint64_t id, const std::string& line,
                                  const obs::TraceContext& ctx) {
   std::string out;
-  PutU64(&out, id);
+  AppendU64(&out, id);
   if (ctx.valid()) AppendTraceExt(&out, ctx);
   out.append(line);
   return out;
 }
 
 Status DecodeRequestPayload(const std::string& payload, uint64_t* id,
-                            std::string* line) {
-  obs::TraceContext ignored;
-  return DecodeRequestPayload(payload, id, line, &ignored);
-}
-
-Status DecodeRequestPayload(const std::string& payload, uint64_t* id,
                             std::string* line, obs::TraceContext* ctx) {
   if (payload.size() < 8) return ProtocolError("short request payload");
-  *id = GetU64(payload.data());
+  *id = LoadU64(payload.data());
   size_t offset = 8;
   CADDB_RETURN_IF_ERROR(ConsumeTraceExt(payload, &offset, ctx));
   line->assign(payload, offset, payload.size() - offset);
@@ -208,15 +178,10 @@ Status DecodeRequestPayload(const std::string& payload, uint64_t* id,
 }
 
 std::string EncodeResponsePayload(uint64_t id, bool error,
-                                  const std::string& output) {
-  return EncodeResponsePayload(id, error, output, obs::TraceContext{});
-}
-
-std::string EncodeResponsePayload(uint64_t id, bool error,
                                   const std::string& output,
                                   const obs::TraceContext& ctx) {
   std::string out;
-  PutU64(&out, id);
+  AppendU64(&out, id);
   out.push_back(error ? '\1' : '\0');
   if (ctx.valid()) AppendTraceExt(&out, ctx);
   out.append(output);
@@ -224,16 +189,10 @@ std::string EncodeResponsePayload(uint64_t id, bool error,
 }
 
 Status DecodeResponsePayload(const std::string& payload, uint64_t* id,
-                             bool* error, std::string* output) {
-  obs::TraceContext ignored;
-  return DecodeResponsePayload(payload, id, error, output, &ignored);
-}
-
-Status DecodeResponsePayload(const std::string& payload, uint64_t* id,
                              bool* error, std::string* output,
                              obs::TraceContext* ctx) {
   if (payload.size() < 9) return ProtocolError("short response payload");
-  *id = GetU64(payload.data());
+  *id = LoadU64(payload.data());
   *error = payload[8] != '\0';
   size_t offset = 9;
   CADDB_RETURN_IF_ERROR(ConsumeTraceExt(payload, &offset, ctx));
@@ -243,7 +202,7 @@ Status DecodeResponsePayload(const std::string& payload, uint64_t* id,
 
 std::string EncodeShedPayload(uint64_t id, const std::string& reason) {
   std::string out;
-  PutU64(&out, id);
+  AppendU64(&out, id);
   out.append(reason);
   return out;
 }
@@ -251,7 +210,7 @@ std::string EncodeShedPayload(uint64_t id, const std::string& reason) {
 Status DecodeShedPayload(const std::string& payload, uint64_t* id,
                          std::string* reason) {
   if (payload.size() < 8) return ProtocolError("short shed payload");
-  *id = GetU64(payload.data());
+  *id = LoadU64(payload.data());
   reason->assign(payload, 8, payload.size() - 8);
   return OkStatus();
 }

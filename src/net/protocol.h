@@ -115,27 +115,22 @@ constexpr const char* kTraceCapability = "trace";
 /// comma-separated list includes `cap`.
 bool BannerHasCapability(const std::string& banner, const std::string& cap);
 
-std::string EncodeRequestPayload(uint64_t id, const std::string& line);
 std::string EncodeRequestPayload(uint64_t id, const std::string& line,
-                                 const obs::TraceContext& ctx);
+                                 const obs::TraceContext& ctx = {});
+/// `ctx` (when given) is left invalid (trace_id 0) when the payload has no
+/// extension.
 Status DecodeRequestPayload(const std::string& payload, uint64_t* id,
-                            std::string* line);
-/// `ctx` is left invalid (trace_id 0) when the payload has no extension.
-Status DecodeRequestPayload(const std::string& payload, uint64_t* id,
-                            std::string* line, obs::TraceContext* ctx);
+                            std::string* line,
+                            obs::TraceContext* ctx = nullptr);
 
-std::string EncodeResponsePayload(uint64_t id, bool error,
-                                  const std::string& output);
 /// The response extension carries the server's trace_id + net.request
 /// span id so the client can stitch the remote subtree to its root.
 std::string EncodeResponsePayload(uint64_t id, bool error,
                                   const std::string& output,
-                                  const obs::TraceContext& ctx);
-Status DecodeResponsePayload(const std::string& payload, uint64_t* id,
-                             bool* error, std::string* output);
+                                  const obs::TraceContext& ctx = {});
 Status DecodeResponsePayload(const std::string& payload, uint64_t* id,
                              bool* error, std::string* output,
-                             obs::TraceContext* ctx);
+                             obs::TraceContext* ctx = nullptr);
 
 std::string EncodeShedPayload(uint64_t id, const std::string& reason);
 Status DecodeShedPayload(const std::string& payload, uint64_t* id,

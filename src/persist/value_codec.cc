@@ -210,7 +210,13 @@ class Decoder {
           if (!Consume(';')) return ParseError("expected ';' in matrix");
         }
       }
-      if (elements.size() != static_cast<size_t>(rows * cols)) {
+      // rows * cols is never formed before both are known to be small
+      // enough: the header is outside input and may overflow int64.
+      if (rows < 0 || cols < 0 ||
+          (cols != 0 && static_cast<uint64_t>(rows) >
+                            elements.size() / static_cast<uint64_t>(cols)) ||
+          static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) !=
+              elements.size()) {
         return ParseError("matrix element count mismatch");
       }
       return Value::Matrix(static_cast<size_t>(rows),
@@ -293,6 +299,14 @@ std::string EncodeValue(const Value& v) {
 
 Result<Value> DecodeValue(const std::string& text) {
   return Decoder(text).Run();
+}
+
+Result<Value> DecodeCanonicalValue(const std::string& text) {
+  CADDB_ASSIGN_OR_RETURN(Value value, DecodeValue(text));
+  if (EncodeValue(value) != text) {
+    return ParseError("value '" + text + "' is not in canonical encoding");
+  }
+  return value;
 }
 
 }  // namespace persist

@@ -22,6 +22,11 @@ std::string EncodeValue(const Value& v);
 /// Parses the encoding above; kParseError on malformed input.
 Result<Value> DecodeValue(const std::string& text);
 
+/// DecodeValue of only the spelling EncodeValue produces ("i:07", "r:3.50"
+/// or an unsorted set are errors). The binary page and log formats carry
+/// values this way, so every payload they accept re-encodes byte-identically.
+Result<Value> DecodeCanonicalValue(const std::string& text);
+
 /// String escaping helpers shared with the dump format.
 std::string EscapeString(const std::string& s);
 Result<std::string> UnescapeString(const std::string& s);

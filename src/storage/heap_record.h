@@ -6,6 +6,7 @@
 #include <string>
 
 #include "storage/page.h"
+#include "util/bytes.h"
 
 namespace caddb {
 namespace storage {
@@ -28,38 +29,10 @@ inline constexpr uint32_t kNoChainPage = 0xFFFFFFFF;
 inline constexpr size_t kDataHeaderBytes = 8;
 inline constexpr size_t kOverflowHeaderBytes = 13;
 
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-inline uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 inline std::string DataRecord(uint64_t id, const std::string& payload) {
   std::string record;
   record.reserve(kDataHeaderBytes + payload.size());
-  PutU64(&record, id);
+  bytes::AppendU64(&record, id);
   record += payload;
   return record;
 }
@@ -69,8 +42,8 @@ inline std::string OverflowRecord(bool head, uint64_t id, uint32_t next,
   std::string record;
   record.reserve(kOverflowHeaderBytes + chunk.size());
   record.push_back(head ? 1 : 0);
-  PutU64(&record, id);
-  PutU32(&record, next);
+  bytes::AppendU64(&record, id);
+  bytes::AppendU32(&record, next);
   record += chunk;
   return record;
 }
@@ -81,16 +54,14 @@ struct OverflowView {
   bool head = false;
   uint64_t id = 0;
   uint32_t next = kNoChainPage;
-  /// Offset of the payload chunk within the record.
-  static constexpr size_t chunk_offset() { return kOverflowHeaderBytes; }
 };
 
 /// Decodes the overflow header; false when the record is too short.
 inline bool ParseOverflow(const std::string& record, OverflowView* out) {
   if (record.size() < kOverflowHeaderBytes) return false;
   out->head = record[0] != 0;
-  out->id = GetU64(record.data() + 1);
-  out->next = GetU32(record.data() + 9);
+  out->id = bytes::LoadU64(record.data() + 1);
+  out->next = bytes::LoadU32(record.data() + 9);
   return true;
 }
 

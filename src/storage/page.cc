@@ -3,48 +3,18 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/bytes.h"
 #include "wal/crc32c.h"
 
 namespace caddb {
 namespace storage {
 
-namespace {
-
-void PutU16(char* p, uint16_t v) {
-  p[0] = static_cast<char>(v & 0xFF);
-  p[1] = static_cast<char>((v >> 8) & 0xFF);
-}
-
-void PutU32(char* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-void PutU64(char* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               (static_cast<unsigned char>(p[1]) << 8));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
+using bytes::LoadU16;
+using bytes::LoadU32;
+using bytes::LoadU64;
+using bytes::StoreU16;
+using bytes::StoreU32;
+using bytes::StoreU64;
 
 bool Page::IsAllZero(const std::string& bytes) {
   for (char c : bytes) {
@@ -59,12 +29,12 @@ Result<Page::RawHeader> Page::PeekHeader(const std::string& bytes) {
                          " bytes, want " + std::to_string(kPageSize));
   }
   RawHeader header;
-  header.crc_ok = wal::Crc32cUnmask(GetU32(bytes.data())) ==
+  header.crc_ok = wal::Crc32cUnmask(LoadU32(bytes.data())) ==
                   wal::Crc32c(bytes.data() + 4, kPageSize - 4);
-  header.stored_id = GetU32(bytes.data() + 4);
-  header.lsn = GetU64(bytes.data() + 8);
-  header.kind_raw = GetU16(bytes.data() + 16);
-  header.slot_count = GetU16(bytes.data() + 18);
+  header.stored_id = LoadU32(bytes.data() + 4);
+  header.lsn = LoadU64(bytes.data() + 8);
+  header.kind_raw = LoadU16(bytes.data() + 16);
+  header.slot_count = LoadU16(bytes.data() + 18);
   return header;
 }
 
@@ -74,7 +44,7 @@ Result<std::vector<std::pair<uint16_t, uint16_t>>> Page::RawSlotDirectory(
     return InternalError("page image of " + std::to_string(bytes.size()) +
                          " bytes, want " + std::to_string(kPageSize));
   }
-  uint16_t slot_count = GetU16(bytes.data() + 18);
+  uint16_t slot_count = LoadU16(bytes.data() + 18);
   size_t dir_bytes = static_cast<size_t>(slot_count) * kSlotEntryBytes;
   if (kPageHeaderBytes + dir_bytes > kPageSize) {
     return InternalError("slot directory of " + std::to_string(slot_count) +
@@ -84,53 +54,40 @@ Result<std::vector<std::pair<uint16_t, uint16_t>>> Page::RawSlotDirectory(
   out.reserve(slot_count);
   const char* dir = bytes.data() + kPageSize - dir_bytes;
   for (uint16_t i = 0; i < slot_count; ++i) {
-    out.emplace_back(GetU16(dir + static_cast<size_t>(i) * kSlotEntryBytes),
-                     GetU16(dir + static_cast<size_t>(i) * kSlotEntryBytes + 2));
+    const char* entry = dir + static_cast<size_t>(i) * kSlotEntryBytes;
+    out.emplace_back(LoadU16(entry), LoadU16(entry + 2));
   }
   return out;
 }
 
 Result<Page> Page::Parse(uint32_t page_id, const std::string& bytes) {
-  if (bytes.size() != kPageSize) {
-    return InternalError("page " + std::to_string(page_id) + ": " +
-                         std::to_string(bytes.size()) + " bytes, want " +
-                         std::to_string(kPageSize));
+  auto fail = [page_id](const std::string& why) {
+    return InternalError("page " + std::to_string(page_id) + ": " + why);
+  };
+  Result<RawHeader> header = PeekHeader(bytes);
+  if (!header.ok()) return fail(header.status().message());
+  if (!header->crc_ok) {
+    return fail("checksum mismatch (torn write or corruption)");
   }
-  uint32_t stored = wal::Crc32cUnmask(GetU32(bytes.data()));
-  uint32_t actual = wal::Crc32c(bytes.data() + 4, kPageSize - 4);
-  if (stored != actual) {
-    return InternalError("page " + std::to_string(page_id) +
-                         ": checksum mismatch (torn write or corruption)");
+  if (header->stored_id != page_id) {
+    return fail("header claims page id " + std::to_string(header->stored_id));
   }
-  uint32_t id = GetU32(bytes.data() + 4);
-  if (id != page_id) {
-    return InternalError("page " + std::to_string(page_id) +
-                         ": header claims page id " + std::to_string(id));
+  if (header->kind_raw > static_cast<uint16_t>(PageKind::kOverflow)) {
+    return fail("unknown page kind " + std::to_string(header->kind_raw));
   }
-  uint16_t kind_raw = GetU16(bytes.data() + 16);
-  if (kind_raw > static_cast<uint16_t>(PageKind::kOverflow)) {
-    return InternalError("page " + std::to_string(page_id) +
-                         ": unknown page kind " + std::to_string(kind_raw));
-  }
-  Page page(page_id, static_cast<PageKind>(kind_raw));
-  page.lsn_ = GetU64(bytes.data() + 8);
-  uint16_t slot_count = GetU16(bytes.data() + 18);
-  size_t dir_bytes = static_cast<size_t>(slot_count) * kSlotEntryBytes;
-  if (kPageHeaderBytes + dir_bytes > kPageSize) {
-    return InternalError("page " + std::to_string(page_id) +
-                         ": slot directory overruns page");
-  }
-  const char* dir = bytes.data() + kPageSize - dir_bytes;
-  page.slots_.resize(slot_count);
-  for (uint16_t i = 0; i < slot_count; ++i) {
-    uint16_t offset = GetU16(dir + static_cast<size_t>(i) * kSlotEntryBytes);
-    uint16_t length =
-        GetU16(dir + static_cast<size_t>(i) * kSlotEntryBytes + 2);
+  Result<std::vector<std::pair<uint16_t, uint16_t>>> dir =
+      RawSlotDirectory(bytes);
+  if (!dir.ok()) return fail(dir.status().message());
+  Page page(page_id, static_cast<PageKind>(header->kind_raw));
+  page.lsn_ = header->lsn;
+  const size_t heap_end = kPageSize - dir->size() * kSlotEntryBytes;
+  page.slots_.resize(dir->size());
+  for (size_t i = 0; i < dir->size(); ++i) {
+    const auto [offset, length] = (*dir)[i];
     if (offset == kDeadSlotOffset) continue;
     if (offset < kPageHeaderBytes ||
-        static_cast<size_t>(offset) + length > kPageSize - dir_bytes) {
-      return InternalError("page " + std::to_string(page_id) + ": slot " +
-                           std::to_string(i) + " out of bounds");
+        static_cast<size_t>(offset) + length > heap_end) {
+      return fail("slot " + std::to_string(i) + " out of bounds");
     }
     page.slots_[i] = bytes.substr(offset, length);
     page.live_bytes_ += length;
@@ -141,27 +98,28 @@ Result<Page> Page::Parse(uint32_t page_id, const std::string& bytes) {
 
 std::string Page::Serialize() const {
   std::string out(kPageSize, '\0');
-  PutU32(&out[4], page_id_);
-  PutU64(&out[8], lsn_);
-  PutU16(&out[16], static_cast<uint16_t>(kind_));
-  PutU16(&out[18], static_cast<uint16_t>(slots_.size()));
+  StoreU32(&out[4], page_id_);
+  StoreU64(&out[8], lsn_);
+  StoreU16(&out[16], static_cast<uint16_t>(kind_));
+  StoreU16(&out[18], static_cast<uint16_t>(slots_.size()));
   size_t dir_bytes = slots_.size() * kSlotEntryBytes;
   char* dir = &out[kPageSize - dir_bytes];
   size_t heap = kPageHeaderBytes;
   for (size_t i = 0; i < slots_.size(); ++i) {
     char* entry = dir + i * kSlotEntryBytes;
     if (!slots_[i].has_value()) {
-      PutU16(entry, kDeadSlotOffset);
-      PutU16(entry + 2, 0);
+      StoreU16(entry, kDeadSlotOffset);
+      StoreU16(entry + 2, 0);
       continue;
     }
     const std::string& record = *slots_[i];
     std::memcpy(&out[heap], record.data(), record.size());
-    PutU16(entry, static_cast<uint16_t>(heap));
-    PutU16(entry + 2, static_cast<uint16_t>(record.size()));
+    StoreU16(entry, static_cast<uint16_t>(heap));
+    StoreU16(entry + 2, static_cast<uint16_t>(record.size()));
     heap += record.size();
   }
-  PutU32(&out[0], wal::Crc32cMask(wal::Crc32c(out.data() + 4, kPageSize - 4)));
+  StoreU32(&out[0],
+           wal::Crc32cMask(wal::Crc32c(out.data() + 4, kPageSize - 4)));
   return out;
 }
 

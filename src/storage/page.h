@@ -13,9 +13,9 @@ namespace caddb {
 namespace storage {
 
 /// Fixed page size of the object store's page file. 8 KiB keeps a typical
-/// gate-library object (a few hundred bytes of text payload) at ~20 records
-/// per page while bounding the cost of a single dirty-page image inside a
-/// checkpoint.
+/// gate-library object (around a hundred to a few hundred bytes of binary
+/// payload, store/object_codec.h) at tens of records per page while
+/// bounding the cost of a single dirty-page image inside a checkpoint.
 inline constexpr uint32_t kPageSize = 8192;
 
 /// On-disk page header, little-endian:

@@ -10,13 +10,14 @@ namespace storage {
 // The record byte format lives in heap_record.h, shared with the offline
 // disk verifier (analysis/disk_verifier.cc) which re-derives this heap's
 // directory from raw pages.
+using bytes::LoadU64;
 using heap_record::DataRecord;
-using heap_record::GetU32;
-using heap_record::GetU64;
 using heap_record::kDataHeaderBytes;
 using heap_record::kOverflowHeaderBytes;
 using heap_record::OverflowChunkBytes;
 using heap_record::OverflowRecord;
+using heap_record::OverflowView;
+using heap_record::ParseOverflow;
 
 namespace {
 
@@ -26,10 +27,7 @@ constexpr uint32_t kNoPage = heap_record::kNoChainPage;
 
 Status PagedHeap::LoadAll(
     const std::function<Status(uint64_t id, const std::string& payload)>& fn) {
-  struct OvRec {
-    bool head = false;
-    uint64_t id = 0;
-    uint32_t next = kNoPage;
+  struct OvRec : OverflowView {
     std::string chunk;
   };
   std::map<uint32_t, OvRec> overflow;
@@ -54,7 +52,7 @@ Status PagedHeap::LoadAll(
           return InternalError("page " + std::to_string(id) + " slot " +
                                std::to_string(slot) + ": short record");
         }
-        uint64_t object = GetU64(record->data());
+        uint64_t object = LoadU64(record->data());
         if (dir_.count(object)) {
           return InternalError("page " + std::to_string(id) +
                                ": duplicate record for object " +
@@ -74,14 +72,11 @@ Status PagedHeap::LoadAll(
                            std::to_string(slots.size()) + " records");
     }
     CADDB_ASSIGN_OR_RETURN(const std::string* record, page.Read(slots[0]));
-    if (record->size() < kOverflowHeaderBytes) {
+    OvRec rec;
+    if (!ParseOverflow(*record, &rec)) {
       return InternalError("overflow page " + std::to_string(id) +
                            ": short record");
     }
-    OvRec rec;
-    rec.head = (*record)[0] != 0;
-    rec.id = GetU64(record->data() + 1);
-    rec.next = GetU32(record->data() + 9);
     rec.chunk = record->substr(kOverflowHeaderBytes);
     overflow[id] = std::move(rec);
   }
@@ -149,7 +144,7 @@ Result<std::string> PagedHeap::Fetch(uint64_t id) const {
       return record.status();
     }
     if ((*record)->size() < kDataHeaderBytes ||
-        GetU64((*record)->data()) != id) {
+        LoadU64((*record)->data()) != id) {
       pool_->Unpin(loc.page_id);
       return InternalError("page " + std::to_string(loc.page_id) +
                            ": directory/record mismatch for object " +
@@ -176,14 +171,13 @@ Result<std::string> PagedHeap::Fetch(uint64_t id) const {
       Result<const std::string*> record = page->Read(slots[0]);
       if (!record.ok()) {
         bad = record.status();
-      } else if ((*record)->size() < kOverflowHeaderBytes ||
-                 GetU64((*record)->data() + 1) != id ||
-                 (((*record)->front() != 0) != first)) {
+      } else if (OverflowView view; !ParseOverflow(**record, &view) ||
+                                    view.id != id || view.head != first) {
         bad = InternalError("overflow chain for object " + std::to_string(id) +
                             " is broken at page " + std::to_string(current));
       } else {
         payload += (*record)->substr(kOverflowHeaderBytes);
-        next = GetU32((*record)->data() + 9);
+        next = view.next;
       }
     }
     pool_->Unpin(current);
@@ -285,12 +279,12 @@ Status PagedHeap::EraseLocked(uint64_t id) {
                            " records");
     }
     CADDB_ASSIGN_OR_RETURN(const std::string* record, page->Read(slots[0]));
-    if (record->size() < kOverflowHeaderBytes ||
-        GetU64(record->data() + 1) != id) {
+    OverflowView view;
+    if (!ParseOverflow(*record, &view) || view.id != id) {
       return InternalError("overflow chain for object " + std::to_string(id) +
                            " is broken at page " + std::to_string(current));
     }
-    next = GetU32(record->data() + 9);
+    next = view.next;
     CADDB_RETURN_IF_ERROR(page->Erase(slots[0]));
     page->set_kind(PageKind::kFree);
     overflow_pages_.erase(current);

@@ -72,6 +72,14 @@ class DbObject {
   void AddToSubrel(const std::string& name, Surrogate member);
   bool RemoveFromSubclass(const std::string& name, Surrogate member);
   bool RemoveFromSubrel(const std::string& name, Surrogate member);
+  /// Replace a whole member list (the page codec restores lists, empty
+  /// ones included, through these).
+  void SetSubclass(const std::string& name, std::vector<Surrogate> members) {
+    subclasses_[name] = std::move(members);
+  }
+  void SetSubrel(const std::string& name, std::vector<Surrogate> members) {
+    subrels_[name] = std::move(members);
+  }
 
   // ---- Relationship participants (kRelationship / kInherRel) ----
   const std::map<std::string, std::vector<Surrogate>>& participants() const {

@@ -1,30 +1,56 @@
 #include "store/object_codec.h"
 
-#include <sstream>
 #include <vector>
 
 #include "persist/value_codec.h"
+#include "util/bytes.h"
 
 namespace caddb {
 namespace store_codec {
 
 namespace {
 
-void AppendIdList(std::ostringstream* out, const char* tag,
-                  const std::map<std::string, std::vector<Surrogate>>& lists) {
+constexpr uint8_t kHasClass = 1;
+constexpr uint8_t kHasParent = 2;
+constexpr uint8_t kHasBound = 4;
+
+using IdLists = std::map<std::string, std::vector<Surrogate>>;
+
+void AppendIdLists(std::string* out, const IdLists& lists) {
+  bytes::AppendVarint(out, lists.size());
   for (const auto& [name, members] : lists) {
-    *out << tag << ' ' << name;
-    for (Surrogate s : members) *out << ' ' << s.id;
-    *out << '\n';
+    bytes::AppendString(out, name);
+    bytes::AppendVarint(out, members.size());
+    for (Surrogate s : members) bytes::AppendVarint(out, s.id);
   }
 }
 
-Result<std::vector<Surrogate>> ParseIdList(std::istringstream* in) {
-  std::vector<Surrogate> out;
-  uint64_t id = 0;
-  while (*in >> id) out.push_back(Surrogate(id));
-  if (!in->eof()) return ParseError("object payload: bad surrogate list");
-  return out;
+/// Reads the next key of `so_far`, a map the encoder wrote in ascending
+/// order: a key that does not ascend would decode to a different order or a
+/// lost duplicate.
+template <typename Map>
+Result<std::string> ReadAscendingName(bytes::ByteReader* in,
+                                      const Map& so_far) {
+  CADDB_ASSIGN_OR_RETURN(std::string name, in->String());
+  if (!so_far.empty() && !(so_far.rbegin()->first < name)) {
+    return in->Error("name '" + name + "' out of order");
+  }
+  return name;
+}
+
+Result<IdLists> ReadIdLists(bytes::ByteReader* in) {
+  IdLists lists;
+  CADDB_ASSIGN_OR_RETURN(uint64_t count, in->Count());
+  for (uint64_t i = 0; i < count; ++i) {
+    CADDB_ASSIGN_OR_RETURN(std::string name, ReadAscendingName(in, lists));
+    CADDB_ASSIGN_OR_RETURN(uint64_t members, in->Count());
+    std::vector<Surrogate>& list = lists[name];
+    for (uint64_t m = 0; m < members; ++m) {
+      CADDB_ASSIGN_OR_RETURN(uint64_t id, in->Varint());
+      list.push_back(Surrogate(id));
+    }
+  }
+  return lists;
 }
 
 }  // namespace
@@ -32,122 +58,97 @@ Result<std::vector<Surrogate>> ParseIdList(std::istringstream* in) {
 std::string EncodeObjectPayload(
     const DbObject& object,
     const std::map<std::string, Value>* attr_overrides) {
-  std::ostringstream out;
-  out << "obj " << object.surrogate().id << ' '
-      << static_cast<int>(object.kind()) << ' ' << object.type_name() << ' '
-      << object.version() << '\n';
-  if (!object.class_name().empty()) {
-    out << "class " << object.class_name() << '\n';
+  std::string out;
+  bytes::AppendVarint(&out, object.surrogate().id);
+  out.push_back(static_cast<char>(object.kind()));
+  bytes::AppendString(&out, object.type_name());
+  bytes::AppendVarint(&out, object.version());
+  const uint8_t flags =
+      (object.class_name().empty() ? 0 : kHasClass) |
+      (object.parent().valid() ? kHasParent : 0) |
+      (object.bound_inher_rel().valid() ? kHasBound : 0);
+  out.push_back(static_cast<char>(flags));
+  if (flags & kHasClass) bytes::AppendString(&out, object.class_name());
+  if (flags & kHasParent) {
+    bytes::AppendVarint(&out, object.parent().id);
+    bytes::AppendString(&out, object.parent_subclass());
   }
-  if (object.parent().valid()) {
-    out << "parent " << object.parent().id << ' ' << object.parent_subclass()
-        << '\n';
-  }
-  if (object.bound_inher_rel().valid()) {
-    out << "bound " << object.bound_inher_rel().id << '\n';
-  }
-  for (const auto& [name, value] : object.attributes()) {
-    const Value* effective = &value;
-    if (attr_overrides) {
-      auto it = attr_overrides->find(name);
-      if (it != attr_overrides->end()) effective = &it->second;
-    }
-    if (effective->is_null()) continue;
-    out << "a " << name << ' ' << persist::EncodeValue(*effective) << '\n';
-  }
+  if (flags & kHasBound) bytes::AppendVarint(&out, object.bound_inher_rel().id);
+
+  // Checkpoint undo masking: an override replaces the attribute's value (a
+  // null override drops it); an override of an attribute the object does
+  // not hold adds it.
+  const std::map<std::string, Value>* attrs = &object.attributes();
+  std::map<std::string, Value> merged;
   if (attr_overrides) {
-    // Overrides for attributes the object does not hold yet (the transaction
-    // wrote a brand-new attribute; its before-image is the absence restored
-    // by the null skip above — nothing to add for those, but an override of
-    // an existing null-valued map entry was already handled).
-    for (const auto& [name, value] : *attr_overrides) {
-      if (value.is_null()) continue;
-      if (object.attributes().count(name)) continue;
-      out << "a " << name << ' ' << persist::EncodeValue(value) << '\n';
-    }
+    merged = *attrs;
+    for (const auto& [name, value] : *attr_overrides) merged[name] = value;
+    attrs = &merged;
   }
-  AppendIdList(&out, "sub", object.subclasses());
-  AppendIdList(&out, "srel", object.subrels());
-  AppendIdList(&out, "part", object.participants());
-  out << "end\n";
-  return out.str();
+  size_t live = 0;
+  for (const auto& [name, value] : *attrs) live += value.is_null() ? 0 : 1;
+  bytes::AppendVarint(&out, live);
+  for (const auto& [name, value] : *attrs) {
+    if (value.is_null()) continue;
+    bytes::AppendString(&out, name);
+    bytes::AppendString(&out, persist::EncodeValue(value));
+  }
+  AppendIdLists(&out, object.subclasses());
+  AppendIdLists(&out, object.subrels());
+  AppendIdLists(&out, object.participants());
+  return out;
 }
 
 Result<std::unique_ptr<DbObject>> DecodeObjectPayload(
     const std::string& payload) {
-  std::istringstream lines(payload);
-  std::string line;
-  if (!std::getline(lines, line)) {
-    return ParseError("object payload: empty");
+  bytes::ByteReader in(payload, "object payload");
+  CADDB_ASSIGN_OR_RETURN(uint64_t surrogate, in.Varint());
+  if (surrogate == 0) return in.Error("surrogate 0");
+  CADDB_ASSIGN_OR_RETURN(uint8_t kind, in.U8());
+  if (kind > static_cast<uint8_t>(ObjKind::kInherRel)) {
+    return in.Error("unknown object kind " + std::to_string(kind));
   }
-  std::istringstream header(line);
-  std::string tag;
-  uint64_t surrogate = 0;
-  int kind_raw = -1;
-  std::string type_name;
-  uint64_t version = 0;
-  header >> tag >> surrogate >> kind_raw >> type_name >> version;
-  if (tag != "obj" || header.fail() || surrogate == 0 || kind_raw < 0 ||
-      kind_raw > static_cast<int>(ObjKind::kInherRel)) {
-    return ParseError("object payload: bad obj header '" + line + "'");
-  }
-  auto object = std::make_unique<DbObject>(Surrogate(surrogate), type_name,
-                                           static_cast<ObjKind>(kind_raw));
+  CADDB_ASSIGN_OR_RETURN(std::string type_name, in.String());
+  auto object = std::make_unique<DbObject>(
+      Surrogate(surrogate), std::move(type_name), static_cast<ObjKind>(kind));
+  CADDB_ASSIGN_OR_RETURN(uint64_t version, in.Varint());
   object->set_version(version);
-  bool ended = false;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    if (ended) return ParseError("object payload: content after end");
-    std::istringstream in(line);
-    in >> tag;
-    if (tag == "end") {
-      ended = true;
-    } else if (tag == "class") {
-      std::string name;
-      in >> name;
-      if (in.fail()) return ParseError("object payload: bad class line");
-      object->set_class_name(name);
-    } else if (tag == "parent") {
-      uint64_t parent = 0;
-      std::string subclass;
-      in >> parent >> subclass;
-      if (in.fail() || parent == 0) {
-        return ParseError("object payload: bad parent line");
-      }
-      object->SetParent(Surrogate(parent), subclass);
-    } else if (tag == "bound") {
-      uint64_t bound = 0;
-      in >> bound;
-      if (in.fail() || bound == 0) {
-        return ParseError("object payload: bad bound line");
-      }
-      object->set_bound_inher_rel(Surrogate(bound));
-    } else if (tag == "a") {
-      std::string name;
-      in >> name;
-      if (in.fail()) return ParseError("object payload: bad attribute line");
-      std::string rest;
-      std::getline(in, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      CADDB_ASSIGN_OR_RETURN(Value value, persist::DecodeValue(rest));
-      object->SetLocalAttribute(name, std::move(value));
-    } else if (tag == "sub" || tag == "srel" || tag == "part") {
-      std::string name;
-      in >> name;
-      if (in.fail()) return ParseError("object payload: bad list line");
-      CADDB_ASSIGN_OR_RETURN(std::vector<Surrogate> members, ParseIdList(&in));
-      if (tag == "sub") {
-        for (Surrogate s : members) object->AddToSubclass(name, s);
-      } else if (tag == "srel") {
-        for (Surrogate s : members) object->AddToSubrel(name, s);
-      } else {
-        object->SetParticipants(name, std::move(members));
-      }
-    } else {
-      return ParseError("object payload: unknown tag '" + tag + "'");
-    }
+  CADDB_ASSIGN_OR_RETURN(uint8_t flags, in.U8());
+  if (flags & ~(kHasClass | kHasParent | kHasBound)) {
+    return in.Error("unknown presence flags " + std::to_string(flags));
   }
-  if (!ended) return ParseError("object payload: missing end line");
+  if (flags & kHasClass) {
+    CADDB_ASSIGN_OR_RETURN(std::string name, in.String());
+    if (name.empty()) return in.Error("empty class name");
+    object->set_class_name(std::move(name));
+  }
+  if (flags & kHasParent) {
+    CADDB_ASSIGN_OR_RETURN(uint64_t parent, in.Varint());
+    if (parent == 0) return in.Error("parent surrogate 0");
+    CADDB_ASSIGN_OR_RETURN(std::string subclass, in.String());
+    object->SetParent(Surrogate(parent), std::move(subclass));
+  }
+  if (flags & kHasBound) {
+    CADDB_ASSIGN_OR_RETURN(uint64_t bound, in.Varint());
+    if (bound == 0) return in.Error("bound surrogate 0");
+    object->set_bound_inher_rel(Surrogate(bound));
+  }
+  CADDB_ASSIGN_OR_RETURN(uint64_t attrs, in.Count());
+  for (uint64_t i = 0; i < attrs; ++i) {
+    CADDB_ASSIGN_OR_RETURN(std::string name,
+                           ReadAscendingName(&in, object->attributes()));
+    CADDB_ASSIGN_OR_RETURN(std::string text, in.String());
+    CADDB_ASSIGN_OR_RETURN(Value value, persist::DecodeCanonicalValue(text));
+    if (value.is_null()) return in.Error("null value for '" + name + "'");
+    object->SetLocalAttribute(name, std::move(value));
+  }
+  CADDB_ASSIGN_OR_RETURN(IdLists sub, ReadIdLists(&in));
+  CADDB_ASSIGN_OR_RETURN(IdLists srel, ReadIdLists(&in));
+  CADDB_ASSIGN_OR_RETURN(IdLists part, ReadIdLists(&in));
+  CADDB_RETURN_IF_ERROR(in.ExpectEnd());
+  for (auto& [name, ids] : sub) object->SetSubclass(name, std::move(ids));
+  for (auto& [name, ids] : srel) object->SetSubrel(name, std::move(ids));
+  for (auto& [role, ids] : part) object->SetParticipants(role, std::move(ids));
   return object;
 }
 

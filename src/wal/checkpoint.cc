@@ -1,11 +1,12 @@
 #include "wal/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "fault/failpoint.h"
+#include "util/bytes.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
 
@@ -13,6 +14,8 @@ namespace caddb {
 namespace wal {
 
 namespace fs = std::filesystem;
+
+constexpr std::string_view kMagic = "caddb-checkpoint ";
 
 std::string CheckpointFileName(uint64_t lsn) {
   char buf[40];
@@ -41,6 +44,36 @@ std::vector<CheckpointFileInfo> ListCheckpoints(const std::string& dir) {
   return out;
 }
 
+std::string EncodeCheckpointBody(const CheckpointData& data) {
+  std::string body;
+  bytes::AppendVarint(&body, data.replay_from);
+  bytes::AppendString(&body, data.meta);
+  bytes::AppendVarint(&body, data.pages.size());
+  for (const auto& [page_id, image] : data.pages) {
+    bytes::AppendVarint(&body, page_id);
+    bytes::AppendString(&body, image);
+  }
+  return body;
+}
+
+Result<CheckpointData> DecodeCheckpointBody(std::string_view body) {
+  bytes::ByteReader in(body, "checkpoint body");
+  CheckpointData data;
+  CADDB_ASSIGN_OR_RETURN(data.replay_from, in.Varint());
+  CADDB_ASSIGN_OR_RETURN(data.meta, in.String());
+  CADDB_ASSIGN_OR_RETURN(uint64_t pages, in.Count());
+  for (uint64_t i = 0; i < pages; ++i) {
+    CADDB_ASSIGN_OR_RETURN(uint64_t page_id, in.Varint());
+    if (page_id > UINT32_MAX) {
+      return in.Error("page id " + std::to_string(page_id) + " out of range");
+    }
+    CADDB_ASSIGN_OR_RETURN(std::string image, in.String());
+    data.pages.emplace_back(static_cast<uint32_t>(page_id), std::move(image));
+  }
+  CADDB_RETURN_IF_ERROR(in.ExpectEnd());
+  return data;
+}
+
 Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
                        uint64_t generation, const CheckpointData& data) {
   std::error_code ec;
@@ -49,23 +82,13 @@ Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
     return InternalError("cannot create checkpoint directory '" + dir +
                          "': " + ec.message());
   }
-  std::string body;
-  body += "replayfrom " + std::to_string(data.replay_from) + "\n";
-  body += "meta " + std::to_string(data.meta.size()) + "\n";
-  body += data.meta;
-  body += "pages " + std::to_string(data.pages.size()) + "\n";
-  for (const auto& [page_id, image] : data.pages) {
-    body += "page " + std::to_string(page_id) + " " +
-            std::to_string(image.size()) + "\n";
-    body += image;
-  }
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
-                Crc32cMask(Crc32c(body.data(), body.size())));
-  std::string contents = "caddb-checkpoint 3 " + std::to_string(lsn) + " " +
-                         std::to_string(generation) + " " +
-                         std::to_string(body.size()) + " " + crc_hex + "\n" +
-                         body;
+  const std::string body = EncodeCheckpointBody(data);
+  std::string contents(kMagic);
+  contents += "4\n";
+  bytes::AppendVarint(&contents, lsn);
+  bytes::AppendVarint(&contents, generation);
+  bytes::AppendU32(&contents, Crc32cMask(Crc32c(body.data(), body.size())));
+  contents += body;
   const std::string path = (fs::path(dir) / CheckpointFileName(lsn)).string();
   CADDB_RETURN_IF_ERROR(fault::Inject(fault::sites::kWalCheckpointPublish));
   CADDB_RETURN_IF_ERROR(AtomicWriteFile(path, contents));
@@ -83,105 +106,53 @@ Status WriteCheckpoint(const std::string& dir, uint64_t lsn,
 
 namespace {
 
-/// Parses the body (after the CRC already checked out).
-Status ParseBody(const std::string& path, const std::string& body,
-                   LoadedCheckpoint* out) {
-  size_t pos = 0;
-  auto next_line = [&](std::string* line) -> bool {
-    size_t eol = body.find('\n', pos);
-    if (eol == std::string::npos) return false;
-    *line = body.substr(pos, eol - pos);
-    pos = eol + 1;
-    return true;
-  };
-  std::string line;
-  unsigned long long value = 0;
-  if (!next_line(&line) ||
-      std::sscanf(line.c_str(), "replayfrom %llu", &value) != 1) {
-    return ParseError("checkpoint '" + path + "': bad replayfrom line");
+Result<LoadedCheckpoint> ParseCheckpoint(const std::string& contents,
+                                         uint64_t file_lsn) {
+  if (contents.compare(0, kMagic.size(), kMagic) != 0) {
+    return ParseError("bad header");
   }
-  out->replay_from = value;
-  if (!next_line(&line) ||
-      std::sscanf(line.c_str(), "meta %llu", &value) != 1 ||
-      body.size() - pos < value) {
-    return ParseError("checkpoint '" + path + "': bad meta section");
+  const char* const end = contents.data() + contents.size();
+  int version = 0;
+  auto [rest, ec] =
+      std::from_chars(contents.data() + kMagic.size(), end, version);
+  if (ec != std::errc()) return ParseError("bad header");
+  if (version != 4) {
+    return ParseError("unsupported checkpoint version " +
+                      std::to_string(version) + " (only version 4 is read)");
   }
-  out->meta = body.substr(pos, value);
-  pos += value;
-  unsigned long long page_count = 0;
-  if (!next_line(&line) ||
-      std::sscanf(line.c_str(), "pages %llu", &page_count) != 1) {
-    return ParseError("checkpoint '" + path + "': bad pages line");
+  if (rest == end || *rest != '\n') return ParseError("bad header");
+  bytes::ByteReader in(std::string_view(rest + 1, end - rest - 1),
+                       "checkpoint header");
+  LoadedCheckpoint out;
+  CADDB_ASSIGN_OR_RETURN(out.lsn, in.Varint());
+  CADDB_ASSIGN_OR_RETURN(out.generation, in.Varint());
+  CADDB_ASSIGN_OR_RETURN(uint32_t crc, in.U32());
+  if (out.lsn != file_lsn) {
+    return ParseError("header lsn does not match file name");
   }
-  for (unsigned long long i = 0; i < page_count; ++i) {
-    unsigned long long page_id = 0;
-    if (!next_line(&line) ||
-        std::sscanf(line.c_str(), "page %llu %llu", &page_id, &value) != 2 ||
-        body.size() - pos < value) {
-      return ParseError("checkpoint '" + path + "': bad page section " +
-                        std::to_string(i));
-    }
-    out->pages[static_cast<uint32_t>(page_id)] = body.substr(pos, value);
-    pos += value;
+  CADDB_ASSIGN_OR_RETURN(std::string_view body, in.Bytes(in.remaining()));
+  if (Crc32cMask(Crc32c(body.data(), body.size())) != crc) {
+    return ParseError("crc mismatch");
   }
-  if (pos != body.size()) {
-    return ParseError("checkpoint '" + path + "': trailing bytes after pages");
+  CADDB_ASSIGN_OR_RETURN(CheckpointData data, DecodeCheckpointBody(body));
+  out.meta = std::move(data.meta);
+  out.replay_from = data.replay_from;
+  for (auto& [page_id, image] : data.pages) {
+    out.pages[page_id] = std::move(image);
   }
-  return OkStatus();
+  return out;
 }
 
 }  // namespace
 
 Result<LoadedCheckpoint> ReadCheckpointFile(const CheckpointFileInfo& info) {
   CADDB_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(info.path));
-  size_t eol = contents.find('\n');
-  if (eol == std::string::npos) {
-    return ParseError("checkpoint '" + info.path + "': missing header line");
+  Result<LoadedCheckpoint> loaded = ParseCheckpoint(contents, info.lsn);
+  if (!loaded.ok()) {
+    return Annotate("checkpoint '" + info.path + "'", loaded.status());
   }
-  std::istringstream header(contents.substr(0, eol));
-  std::string magic;
-  int version = 0;
-  uint64_t lsn = 0;
-  uint64_t generation = 0;
-  size_t body_bytes = 0;
-  std::string crc_hex;
-  header >> magic >> version;
-  if (magic != "caddb-checkpoint" || header.fail()) {
-    return ParseError("checkpoint '" + info.path + "': bad header");
-  }
-  if (version != 3) {
-    return ParseError("checkpoint '" + info.path +
-                      "': unsupported checkpoint version " +
-                      std::to_string(version) + " (only version 3 is read)");
-  }
-  header >> lsn >> generation >> body_bytes >> crc_hex;
-  if (header.fail()) {
-    return ParseError("checkpoint '" + info.path + "': bad header");
-  }
-  if (lsn != info.lsn) {
-    return ParseError("checkpoint '" + info.path +
-                      "': header lsn does not match file name");
-  }
-  std::string body = contents.substr(eol + 1);
-  if (body.size() != body_bytes) {
-    return ParseError("checkpoint '" + info.path + "': body is " +
-                      std::to_string(body.size()) + " bytes, header says " +
-                      std::to_string(body_bytes));
-  }
-  uint32_t expected = 0;
-  if (std::sscanf(crc_hex.c_str(), "%8x", &expected) != 1) {
-    return ParseError("checkpoint '" + info.path + "': bad crc field");
-  }
-  uint32_t actual = Crc32cMask(Crc32c(body.data(), body.size()));
-  if (actual != expected) {
-    return ParseError("checkpoint '" + info.path + "': crc mismatch");
-  }
-  LoadedCheckpoint out;
-  out.lsn = lsn;
-  out.generation = generation;
-  out.path = info.path;
-  CADDB_RETURN_IF_ERROR(ParseBody(info.path, body, &out));
-  return out;
+  loaded->path = info.path;
+  return loaded;
 }
 
 Result<LoadedCheckpoint> ReadNewestCheckpoint(const std::string& dir) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,17 +16,22 @@ namespace wal {
 /// Checkpoint files: an incremental database snapshot covering every log
 /// record up to and including an lsn, published atomically.
 ///
-/// On-disk format (version 3, the only one written or read):
+/// On-disk format (version 4, the only one written or read):
 ///
-///   caddb-checkpoint 3 <lsn> <generation> <body-bytes> <crc32c-hex>\n
-///   <body, see CheckpointData>
+///   caddb-checkpoint 4\n
+///   varint lsn, varint generation, u32 masked CRC32C of the body
+///   <body to the end of the file, see CheckpointData>
+///
+/// in the util/bytes.h layout after the text line, which stays text so a
+/// file of any version names its version.
 ///
 /// `generation` numbers log generations: every Database::Open writes a
 /// fresh checkpoint with the loaded generation + 1, so one generation never
 /// mixes the surrogate/transaction id spaces of two processes, and a
 /// replication follower can detect a stale or rewound primary by a
-/// generation that moves backwards. Files of the retired dump-based
-/// versions 1 and 2 are rejected with an error naming their version.
+/// generation that moves backwards. Files of the retired versions 1 and 2
+/// (dump-based) and 3 (text body framing) are rejected with an error naming
+/// their version.
 ///
 /// The CRC is the masked CRC32C of the body, so a checkpoint torn by a
 /// crash during publication is detected and skipped in favour of the
@@ -64,17 +70,21 @@ std::vector<CheckpointFileInfo> ListCheckpoints(const std::string& dir);
 ///     committed after `lsn` must be replayed even though they precede the
 ///     checkpoint lsn. 0 when no transaction spanned the checkpoint.
 ///
-/// On-disk body:
+/// On-disk body, in the util/bytes.h layout:
 ///
-///   replayfrom <lsn>\n
-///   meta <byte-count>\n<meta bytes>
-///   pages <count>\n
-///   page <id> <byte-count>\n<raw page image>   (repeated)
+///   varint replay_from, string meta, varint n,
+///   n x (varint page id, string raw page image)
 struct CheckpointData {
   std::string meta;
   uint64_t replay_from = 0;
   std::vector<std::pair<uint32_t, std::string>> pages;
 };
+
+std::string EncodeCheckpointBody(const CheckpointData& data);
+
+/// Inverse of EncodeCheckpointBody, accepting only what it writes: a body
+/// that decodes re-encodes byte-identically.
+Result<CheckpointData> DecodeCheckpointBody(std::string_view body);
 
 /// Atomically publishes a checkpoint covering `lsn` in log generation
 /// `generation` (temp file + fsync + rename + directory fsync), then

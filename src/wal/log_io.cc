@@ -6,42 +6,19 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
+#include "util/bytes.h"
 #include "wal/crc32c.h"
 
 namespace caddb {
 namespace wal {
 
+using bytes::AppendU32;
+using bytes::AppendU64;
+using bytes::LoadU32;
+using bytes::LoadU64;
+
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 Status Errno(const std::string& what, const std::string& path) {
   return InternalError(what + " '" + path + "': " + std::strerror(errno));
@@ -125,51 +102,53 @@ Status FailpointFile::Close() { return base_->Close(); }
 
 std::string EncodeFrame(uint64_t lsn, const std::string& payload) {
   std::string lsn_bytes;
-  PutU64(&lsn_bytes, lsn);
+  AppendU64(&lsn_bytes, lsn);
   uint32_t crc = Crc32c(lsn_bytes.data(), lsn_bytes.size());
   crc = Crc32cExtend(crc, payload.data(), payload.size());
 
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32cMask(crc));
+  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+  AppendU32(&frame, Crc32cMask(crc));
   frame += lsn_bytes;
   frame += payload;
   return frame;
 }
 
+namespace {
+
+/// Checks the frame starting at `pos`: nullptr when it is complete and its
+/// CRC matches (payload length in *len), else why it is not.
+const char* CheckFrame(const std::string& data, size_t pos, uint32_t* len) {
+  if (data.size() - pos < kFrameHeaderBytes) return "torn frame header";
+  *len = LoadU32(data.data() + pos);
+  if (*len > kMaxFramePayload) {
+    return "implausible frame length (corrupt header)";
+  }
+  if (data.size() - pos - kFrameHeaderBytes < *len) {
+    return "torn frame payload";
+  }
+  uint32_t crc = Crc32c(data.data() + pos + 8, 8);
+  crc = Crc32cExtend(crc, data.data() + pos + kFrameHeaderBytes, *len);
+  if (crc != Crc32cUnmask(LoadU32(data.data() + pos + 4))) {
+    return "frame checksum mismatch";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 SegmentContents DecodeFrames(const std::string& data) {
   SegmentContents out;
   size_t pos = 0;
-  auto torn = [&](const std::string& why) {
-    std::ostringstream msg;
-    msg << why << " at offset " << pos;
-    out.tail_error = msg.str();
-  };
   while (pos < data.size()) {
-    if (data.size() - pos < kFrameHeaderBytes) {
-      torn("torn frame header");
-      break;
-    }
-    uint32_t len = GetU32(data.data() + pos);
-    uint32_t stored_crc = Crc32cUnmask(GetU32(data.data() + pos + 4));
-    uint64_t lsn = GetU64(data.data() + pos + 8);
-    if (len > kMaxFramePayload) {
-      torn("implausible frame length (corrupt header)");
-      break;
-    }
-    if (data.size() - pos - kFrameHeaderBytes < len) {
-      torn("torn frame payload");
-      break;
-    }
-    uint32_t crc = Crc32c(data.data() + pos + 8, 8);
-    crc = Crc32cExtend(crc, data.data() + pos + kFrameHeaderBytes, len);
-    if (crc != stored_crc) {
-      torn("frame checksum mismatch");
+    uint32_t len = 0;
+    if (const char* why = CheckFrame(data, pos, &len)) {
+      out.tail_error = std::string(why) + " at offset " + std::to_string(pos);
       break;
     }
     Frame frame;
-    frame.lsn = lsn;
+    frame.lsn = LoadU64(data.data() + pos + 8);
     frame.payload = data.substr(pos + kFrameHeaderBytes, len);
     pos += kFrameHeaderBytes + len;
     frame.end_offset = pos;
@@ -181,13 +160,8 @@ SegmentContents DecodeFrames(const std::string& data) {
 
 bool HasValidFrameAfter(const std::string& data, size_t offset) {
   for (size_t pos = offset; pos + kFrameHeaderBytes <= data.size(); ++pos) {
-    uint32_t len = GetU32(data.data() + pos);
-    if (len > kMaxFramePayload) continue;
-    if (data.size() - pos - kFrameHeaderBytes < len) continue;
-    uint32_t stored_crc = Crc32cUnmask(GetU32(data.data() + pos + 4));
-    uint32_t crc = Crc32c(data.data() + pos + 8, 8);
-    crc = Crc32cExtend(crc, data.data() + pos + kFrameHeaderBytes, len);
-    if (crc == stored_crc) return true;
+    uint32_t len = 0;
+    if (CheckFrame(data, pos, &len) == nullptr) return true;
   }
   return false;
 }

@@ -18,7 +18,7 @@ namespace wal {
 ///   u32 LE  payload length
 ///   u32 LE  masked CRC32C over (lsn bytes || payload)
 ///   u64 LE  log sequence number
-///   payload bytes (a Record::Encode() string)
+///   payload bytes (a binary Record::Encode() payload, record.h)
 ///
 /// A frame is valid only when it is complete *and* its CRC matches; the
 /// reader stops at the first frame that is torn (short header/payload) or

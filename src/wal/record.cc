@@ -1,497 +1,293 @@
 #include "wal/record.h"
 
-#include <sstream>
+#include <iterator>
+#include <utility>
 
 #include "persist/value_codec.h"
+#include "util/bytes.h"
 
 namespace caddb {
 namespace wal {
 
 namespace {
 
-/// Payload tags. Part of the on-disk contract (like the dump format):
-/// append new tags, never reuse or renumber.
-constexpr const char* kTagOf[] = {
-    "begin",  "commit",   "abort",   "ddl",      "class",
-    "create", "sub",      "rel",     "subrel",   "bind",
-    "unbind", "set",      "delete",  "design",   "version",
-    "vstate", "vdefault", "vgeneric", "vresolved",
+/// Field-presence bits, in the order present fields follow the mask.
+constexpr uint32_t kResult = 1u << 0;
+constexpr uint32_t kA = 1u << 1;
+constexpr uint32_t kB = 1u << 2;
+constexpr uint32_t kName = 1u << 3;
+constexpr uint32_t kAux = 1u << 4;
+constexpr uint32_t kText = 1u << 5;
+constexpr uint32_t kValue = 1u << 6;
+constexpr uint32_t kIds = 1u << 7;
+constexpr uint32_t kParticipants = 1u << 8;
+constexpr uint32_t kDetach = 1u << 9;  // no bytes: the bit is the value
+
+/// One row per RecordType, indexed by its value: the type's name, the
+/// fields it must carry and the fields it may carry. Part of the on-disk
+/// contract: append new types, never reuse or renumber.
+struct TypeRule {
+  const char* name;
+  uint32_t required;
+  uint32_t optional;
 };
 
-std::string Ref(uint64_t id) { return "@" + std::to_string(id); }
+constexpr TypeRule kRules[] = {
+    {"begin", 0, 0},
+    {"commit", 0, 0},
+    {"abort", 0, 0},
+    {"ddl", kText, 0},
+    {"class", kName | kAux, 0},
+    {"create", kResult | kName, kAux},
+    {"sub", kResult | kA | kName, 0},
+    {"rel", kResult | kName, kParticipants},
+    {"subrel", kResult | kA | kName, kParticipants},
+    {"bind", kResult | kA | kB | kName, 0},
+    {"unbind", kA, 0},
+    {"set", kA | kName | kValue, 0},
+    {"delete", kA, kDetach},
+    {"design", kName | kAux, 0},
+    {"version", kName | kA, kIds},
+    {"vstate", kName | kA | kAux, 0},
+    {"vdefault", kName | kA, 0},
+    {"vgeneric", kResult | kA | kName | kAux, 0},
+    {"vresolved", kResult | kA, 0},
+};
+static_assert(std::size(kRules) ==
+              static_cast<size_t>(RecordType::kMarkResolved) + 1);
 
-Result<uint64_t> ParseRef(const std::string& token) {
-  if (token.size() < 2 || token[0] != '@') {
-    return ParseError("expected @<surrogate>, got '" + token + "'");
+/// The varint and string fields, in mask (and wire) order.
+constexpr std::pair<uint32_t, uint64_t Record::*> kIdFields[] = {
+    {kResult, &Record::result}, {kA, &Record::a}, {kB, &Record::b}};
+constexpr std::pair<uint32_t, std::string Record::*> kStringFields[] = {
+    {kName, &Record::name}, {kAux, &Record::aux}, {kText, &Record::text}};
+
+/// The fields of `r` that differ from their defaults. An optional field is
+/// written only when it is among these, so decoding one that holds its
+/// default is a second spelling of the same record and is rejected.
+uint32_t NonDefaultFields(const Record& r) {
+  uint32_t mask = 0;
+  for (const auto& [bit, field] : kIdFields) mask |= r.*field != 0 ? bit : 0;
+  for (const auto& [bit, field] : kStringFields) {
+    mask |= (r.*field).empty() ? 0 : bit;
   }
-  try {
-    return static_cast<uint64_t>(std::stoull(token.substr(1)));
-  } catch (...) {
-    return ParseError("bad surrogate '" + token + "'");
-  }
+  return mask | (r.value.is_null() ? 0 : kValue) | (r.ids.empty() ? 0 : kIds) |
+         (r.participants.empty() ? 0 : kParticipants) |
+         (r.detach ? kDetach : 0);
 }
 
-Result<uint64_t> ReadRef(std::istringstream& in, const char* what) {
-  std::string token;
-  if (!(in >> token)) {
-    return ParseError(std::string("record is missing the ") + what +
-                      " surrogate");
-  }
-  return ParseRef(token);
+void AppendIds(std::string* out, const std::vector<uint64_t>& ids) {
+  bytes::AppendVarint(out, ids.size());
+  for (uint64_t id : ids) bytes::AppendVarint(out, id);
 }
 
-Result<std::string> ReadName(std::istringstream& in, const char* what) {
-  std::string token;
-  if (!(in >> token)) {
-    return ParseError(std::string("record is missing the ") + what);
+Result<std::vector<uint64_t>> ReadIds(bytes::ByteReader* in) {
+  CADDB_ASSIGN_OR_RETURN(uint64_t n, in->Count());
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < n; ++i) {
+    CADDB_ASSIGN_OR_RETURN(uint64_t id, in->Varint());
+    ids.push_back(id);
   }
-  return token;
-}
-
-/// `role <name> @1 @2 ; role ...` — the dump format's participant notation.
-void EncodeParticipants(
-    const std::map<std::string, std::vector<uint64_t>>& participants,
-    std::string* out) {
-  for (const auto& [role, members] : participants) {
-    *out += " role " + role;
-    for (uint64_t m : members) *out += " " + Ref(m);
-    *out += " ;";
-  }
-}
-
-Result<std::map<std::string, std::vector<uint64_t>>> DecodeParticipants(
-    std::istringstream& in) {
-  std::map<std::string, std::vector<uint64_t>> participants;
-  std::string token;
-  while (in >> token) {
-    if (token != "role") {
-      return ParseError("bad participant token '" + token +
-                        "' (expected 'role')");
-    }
-    CADDB_ASSIGN_OR_RETURN(std::string role, ReadName(in, "role name"));
-    std::vector<uint64_t>& members = participants[role];
-    while (in >> token && token != ";") {
-      CADDB_ASSIGN_OR_RETURN(uint64_t m, ParseRef(token));
-      members.push_back(m);
-    }
-  }
-  return participants;
+  return ids;
 }
 
 }  // namespace
 
 const char* RecordTypeName(RecordType type) {
-  return kTagOf[static_cast<int>(type)];
+  return kRules[static_cast<int>(type)].name;
 }
 
 Record Record::Begin(uint64_t txn) {
-  Record r;
-  r.type = RecordType::kBegin;
-  r.txn = txn;
-  return r;
+  return {.type = RecordType::kBegin, .txn = txn};
 }
 
 Record Record::Commit(uint64_t txn) {
-  Record r;
-  r.type = RecordType::kCommit;
-  r.txn = txn;
-  return r;
+  return {.type = RecordType::kCommit, .txn = txn};
 }
 
 Record Record::Abort(uint64_t txn) {
-  Record r;
-  r.type = RecordType::kAbort;
-  r.txn = txn;
-  return r;
+  return {.type = RecordType::kAbort, .txn = txn};
 }
 
 Record Record::Ddl(uint64_t txn, std::string source) {
-  Record r;
-  r.type = RecordType::kDdl;
-  r.txn = txn;
-  r.text = std::move(source);
-  return r;
+  return {.type = RecordType::kDdl, .txn = txn, .text = std::move(source)};
 }
 
 Record Record::CreateClass(uint64_t txn, std::string name, std::string type) {
-  Record r;
-  r.type = RecordType::kCreateClass;
-  r.txn = txn;
-  r.name = std::move(name);
-  r.aux = std::move(type);
-  return r;
+  return {.type = RecordType::kCreateClass, .txn = txn,
+          .name = std::move(name), .aux = std::move(type)};
 }
 
 Record Record::CreateObject(uint64_t txn, uint64_t created, std::string type,
                             std::string class_name) {
-  Record r;
-  r.type = RecordType::kCreateObject;
-  r.txn = txn;
-  r.result = created;
-  r.name = std::move(type);
-  r.aux = std::move(class_name);
-  return r;
+  return {.type = RecordType::kCreateObject, .txn = txn, .result = created,
+          .name = std::move(type), .aux = std::move(class_name)};
 }
 
 Record Record::CreateSubobject(uint64_t txn, uint64_t created,
                                uint64_t parent, std::string subclass) {
-  Record r;
-  r.type = RecordType::kCreateSubobject;
-  r.txn = txn;
-  r.result = created;
-  r.a = parent;
-  r.name = std::move(subclass);
-  return r;
+  return {.type = RecordType::kCreateSubobject, .txn = txn, .result = created,
+          .a = parent, .name = std::move(subclass)};
 }
 
 Record Record::CreateRelationship(
     uint64_t txn, uint64_t created, std::string rel_type,
     std::map<std::string, std::vector<uint64_t>> participants) {
-  Record r;
-  r.type = RecordType::kCreateRelationship;
-  r.txn = txn;
-  r.result = created;
-  r.name = std::move(rel_type);
-  r.participants = std::move(participants);
-  return r;
+  return {.type = RecordType::kCreateRelationship, .txn = txn,
+          .result = created, .name = std::move(rel_type),
+          .participants = std::move(participants)};
 }
 
 Record Record::CreateSubrel(
     uint64_t txn, uint64_t created, uint64_t owner, std::string subrel,
     std::map<std::string, std::vector<uint64_t>> participants) {
-  Record r;
-  r.type = RecordType::kCreateSubrel;
-  r.txn = txn;
-  r.result = created;
-  r.a = owner;
-  r.name = std::move(subrel);
-  r.participants = std::move(participants);
-  return r;
+  return {.type = RecordType::kCreateSubrel, .txn = txn, .result = created,
+          .a = owner, .name = std::move(subrel),
+          .participants = std::move(participants)};
 }
 
 Record Record::Bind(uint64_t txn, uint64_t created, uint64_t inheritor,
                     uint64_t transmitter, std::string rel_type) {
-  Record r;
-  r.type = RecordType::kBind;
-  r.txn = txn;
-  r.result = created;
-  r.a = inheritor;
-  r.b = transmitter;
-  r.name = std::move(rel_type);
-  return r;
+  return {.type = RecordType::kBind, .txn = txn, .result = created,
+          .a = inheritor, .b = transmitter, .name = std::move(rel_type)};
 }
 
 Record Record::Unbind(uint64_t txn, uint64_t inheritor) {
-  Record r;
-  r.type = RecordType::kUnbind;
-  r.txn = txn;
-  r.a = inheritor;
-  return r;
+  return {.type = RecordType::kUnbind, .txn = txn, .a = inheritor};
 }
 
 Record Record::SetAttribute(uint64_t txn, uint64_t object, std::string attr,
                             Value value) {
-  Record r;
-  r.type = RecordType::kSetAttribute;
-  r.txn = txn;
-  r.a = object;
-  r.name = std::move(attr);
-  r.value = std::move(value);
-  return r;
+  return {.type = RecordType::kSetAttribute, .txn = txn, .a = object,
+          .name = std::move(attr), .value = std::move(value)};
 }
 
 Record Record::Delete(uint64_t txn, uint64_t object, bool detach) {
-  Record r;
-  r.type = RecordType::kDelete;
-  r.txn = txn;
-  r.a = object;
-  r.detach = detach;
-  return r;
+  return {.type = RecordType::kDelete, .txn = txn, .a = object,
+          .detach = detach};
 }
 
 Record Record::CreateDesign(uint64_t txn, std::string design,
                             std::string object_type) {
-  Record r;
-  r.type = RecordType::kCreateDesign;
-  r.txn = txn;
-  r.name = std::move(design);
-  r.aux = std::move(object_type);
-  return r;
+  return {.type = RecordType::kCreateDesign, .txn = txn,
+          .name = std::move(design), .aux = std::move(object_type)};
 }
 
 Record Record::AddVersion(uint64_t txn, std::string design, uint64_t object,
                           std::vector<uint64_t> predecessors) {
-  Record r;
-  r.type = RecordType::kAddVersion;
-  r.txn = txn;
-  r.name = std::move(design);
-  r.a = object;
-  r.ids = std::move(predecessors);
-  return r;
+  return {.type = RecordType::kAddVersion, .txn = txn, .a = object,
+          .name = std::move(design), .ids = std::move(predecessors)};
 }
 
 Record Record::SetVersionState(uint64_t txn, std::string design,
                                uint64_t object, std::string state) {
-  Record r;
-  r.type = RecordType::kSetVersionState;
-  r.txn = txn;
-  r.name = std::move(design);
-  r.a = object;
-  r.aux = std::move(state);
-  return r;
+  return {.type = RecordType::kSetVersionState, .txn = txn, .a = object,
+          .name = std::move(design), .aux = std::move(state)};
 }
 
 Record Record::SetDefaultVersion(uint64_t txn, std::string design,
                                  uint64_t object) {
-  Record r;
-  r.type = RecordType::kSetDefaultVersion;
-  r.txn = txn;
-  r.name = std::move(design);
-  r.a = object;
-  return r;
+  return {.type = RecordType::kSetDefaultVersion, .txn = txn, .a = object,
+          .name = std::move(design)};
 }
 
 Record Record::BindGeneric(uint64_t txn, uint64_t binding_id,
                            uint64_t inheritor, std::string design,
                            std::string rel_type) {
-  Record r;
-  r.type = RecordType::kBindGeneric;
-  r.txn = txn;
-  r.result = binding_id;
-  r.a = inheritor;
-  r.name = std::move(design);
-  r.aux = std::move(rel_type);
-  return r;
+  return {.type = RecordType::kBindGeneric, .txn = txn, .result = binding_id,
+          .a = inheritor, .name = std::move(design),
+          .aux = std::move(rel_type)};
 }
 
 Record Record::MarkResolved(uint64_t txn, uint64_t binding_id,
                             uint64_t version) {
-  Record r;
-  r.type = RecordType::kMarkResolved;
-  r.txn = txn;
-  r.result = binding_id;
-  r.a = version;
-  return r;
+  return {.type = RecordType::kMarkResolved, .txn = txn,
+          .result = binding_id, .a = version};
 }
 
 std::string Record::Encode() const {
-  std::string out = std::string(RecordTypeName(type)) + " " +
-                    std::to_string(txn);
-  switch (type) {
-    case RecordType::kBegin:
-    case RecordType::kCommit:
-    case RecordType::kAbort:
-      break;
-    case RecordType::kDdl:
-      out += " \"" + persist::EscapeString(text) + "\"";
-      break;
-    case RecordType::kCreateClass:
-    case RecordType::kCreateDesign:
-      out += " " + name + " " + aux;
-      break;
-    case RecordType::kCreateObject:
-      out += " " + Ref(result) + " " + name;
-      if (!aux.empty()) out += " C " + aux;
-      break;
-    case RecordType::kCreateSubobject:
-      out += " " + Ref(result) + " " + Ref(a) + " " + name;
-      break;
-    case RecordType::kCreateRelationship:
-      out += " " + Ref(result) + " " + name;
-      EncodeParticipants(participants, &out);
-      break;
-    case RecordType::kCreateSubrel:
-      out += " " + Ref(result) + " " + Ref(a) + " " + name;
-      EncodeParticipants(participants, &out);
-      break;
-    case RecordType::kBind:
-      out += " " + Ref(result) + " " + Ref(a) + " " + Ref(b) + " " + name;
-      break;
-    case RecordType::kUnbind:
-      out += " " + Ref(a);
-      break;
-    case RecordType::kSetAttribute:
-      // The encoded value is the last field: it may contain spaces inside
-      // quoted strings, so decoding reads to end of payload.
-      out += " " + Ref(a) + " " + name + " " + persist::EncodeValue(value);
-      break;
-    case RecordType::kDelete:
-      out += " " + Ref(a) + (detach ? " detach" : " restrict");
-      break;
-    case RecordType::kAddVersion:
-      out += " " + name + " " + Ref(a);
-      for (uint64_t p : ids) out += " " + Ref(p);
-      break;
-    case RecordType::kSetVersionState:
-      out += " " + name + " " + Ref(a) + " " + aux;
-      break;
-    case RecordType::kSetDefaultVersion:
-      out += " " + name + " " + Ref(a);
-      break;
-    case RecordType::kBindGeneric:
-      out += " " + std::to_string(result) + " " + Ref(a) + " " + name + " " +
-             aux;
-      break;
-    case RecordType::kMarkResolved:
-      out += " " + std::to_string(result) + " " + Ref(a);
-      break;
+  const TypeRule& rule = kRules[static_cast<int>(type)];
+  const uint32_t present =
+      rule.required | (rule.optional & NonDefaultFields(*this));
+  std::string out;
+  out.push_back(static_cast<char>(type));
+  bytes::AppendVarint(&out, txn);
+  bytes::AppendVarint(&out, present);
+  for (const auto& [bit, field] : kIdFields) {
+    if (present & bit) bytes::AppendVarint(&out, this->*field);
+  }
+  for (const auto& [bit, field] : kStringFields) {
+    if (present & bit) bytes::AppendString(&out, this->*field);
+  }
+  if (present & kValue) {
+    bytes::AppendString(&out, persist::EncodeValue(value));
+  }
+  if (present & kIds) AppendIds(&out, ids);
+  if (present & kParticipants) {
+    bytes::AppendVarint(&out, participants.size());
+    for (const auto& [role, members] : participants) {
+      bytes::AppendString(&out, role);
+      AppendIds(&out, members);
+    }
   }
   return out;
 }
 
 Result<Record> Record::Decode(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag)) return ParseError("empty log record payload");
-
+  bytes::ByteReader in(payload, "log record");
+  CADDB_ASSIGN_OR_RETURN(uint8_t type_byte, in.U8());
+  if (type_byte >= std::size(kRules)) {
+    return in.Error("unknown record type " + std::to_string(type_byte));
+  }
   Record r;
-  bool known = false;
-  for (int i = 0; i <= static_cast<int>(RecordType::kMarkResolved); ++i) {
-    if (tag == kTagOf[i]) {
-      r.type = static_cast<RecordType>(i);
-      known = true;
-      break;
+  r.type = static_cast<RecordType>(type_byte);
+  const TypeRule& rule = kRules[type_byte];
+  CADDB_ASSIGN_OR_RETURN(r.txn, in.Varint());
+  CADDB_ASSIGN_OR_RETURN(uint64_t present, in.Varint());
+  if (present & ~uint64_t{rule.required | rule.optional}) {
+    return in.Error(std::string(rule.name) + " record carries a field it " +
+                    "does not allow (mask " + std::to_string(present) + ")");
+  }
+  if ((present & rule.required) != rule.required) {
+    return in.Error(std::string(rule.name) +
+                    " record is missing a required field (mask " +
+                    std::to_string(present) + ")");
+  }
+  for (const auto& [bit, field] : kIdFields) {
+    if (present & bit) {
+      CADDB_ASSIGN_OR_RETURN(r.*field, in.Varint());
     }
   }
-  if (!known) return ParseError("unknown log record tag '" + tag + "'");
-  if (!(in >> r.txn)) {
-    return ParseError("log record '" + tag + "' is missing the txn id");
+  for (const auto& [bit, field] : kStringFields) {
+    if (present & bit) {
+      CADDB_ASSIGN_OR_RETURN(r.*field, in.String());
+    }
   }
-
-  switch (r.type) {
-    case RecordType::kBegin:
-    case RecordType::kCommit:
-    case RecordType::kAbort:
-      break;
-    case RecordType::kDdl: {
-      std::string rest;
-      std::getline(in, rest);
-      size_t open = rest.find('"');
-      size_t close = rest.rfind('"');
-      if (open == std::string::npos || close <= open) {
-        return ParseError("ddl record has no quoted source text");
+  if (present & kValue) {
+    CADDB_ASSIGN_OR_RETURN(std::string text, in.String());
+    CADDB_ASSIGN_OR_RETURN(r.value, persist::DecodeCanonicalValue(text));
+  }
+  if (present & kIds) {
+    CADDB_ASSIGN_OR_RETURN(r.ids, ReadIds(&in));
+  }
+  if (present & kParticipants) {
+    CADDB_ASSIGN_OR_RETURN(uint64_t roles, in.Count());
+    for (uint64_t i = 0; i < roles; ++i) {
+      CADDB_ASSIGN_OR_RETURN(std::string role, in.String());
+      if (!r.participants.empty() &&
+          !(r.participants.rbegin()->first < role)) {
+        return in.Error("participant role '" + role + "' out of order");
       }
-      CADDB_ASSIGN_OR_RETURN(
-          r.text,
-          persist::UnescapeString(rest.substr(open + 1, close - open - 1)));
-      break;
+      CADDB_ASSIGN_OR_RETURN(r.participants[role], ReadIds(&in));
     }
-    case RecordType::kCreateClass:
-    case RecordType::kCreateDesign: {
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "name"));
-      CADDB_ASSIGN_OR_RETURN(r.aux, ReadName(in, "object type"));
-      break;
-    }
-    case RecordType::kCreateObject: {
-      CADDB_ASSIGN_OR_RETURN(r.result, ReadRef(in, "created"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "object type"));
-      std::string marker;
-      if (in >> marker) {
-        if (marker != "C") {
-          return ParseError("bad create marker '" + marker + "'");
-        }
-        CADDB_ASSIGN_OR_RETURN(r.aux, ReadName(in, "class name"));
-      }
-      break;
-    }
-    case RecordType::kCreateSubobject: {
-      CADDB_ASSIGN_OR_RETURN(r.result, ReadRef(in, "created"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "parent"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "subclass"));
-      break;
-    }
-    case RecordType::kCreateRelationship: {
-      CADDB_ASSIGN_OR_RETURN(r.result, ReadRef(in, "created"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "rel type"));
-      CADDB_ASSIGN_OR_RETURN(r.participants, DecodeParticipants(in));
-      break;
-    }
-    case RecordType::kCreateSubrel: {
-      CADDB_ASSIGN_OR_RETURN(r.result, ReadRef(in, "created"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "owner"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "subrel"));
-      CADDB_ASSIGN_OR_RETURN(r.participants, DecodeParticipants(in));
-      break;
-    }
-    case RecordType::kBind: {
-      CADDB_ASSIGN_OR_RETURN(r.result, ReadRef(in, "created"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "inheritor"));
-      CADDB_ASSIGN_OR_RETURN(r.b, ReadRef(in, "transmitter"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "inher-rel type"));
-      break;
-    }
-    case RecordType::kUnbind: {
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "inheritor"));
-      break;
-    }
-    case RecordType::kSetAttribute: {
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "object"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "attribute"));
-      std::string rest;
-      std::getline(in, rest);
-      if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-      CADDB_ASSIGN_OR_RETURN(r.value, persist::DecodeValue(rest));
-      break;
-    }
-    case RecordType::kDelete: {
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "object"));
-      CADDB_ASSIGN_OR_RETURN(std::string policy, ReadName(in, "policy"));
-      if (policy == "detach") {
-        r.detach = true;
-      } else if (policy == "restrict") {
-        r.detach = false;
-      } else {
-        return ParseError("bad delete policy '" + policy + "'");
-      }
-      break;
-    }
-    case RecordType::kAddVersion: {
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "design"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "version object"));
-      std::string token;
-      while (in >> token) {
-        CADDB_ASSIGN_OR_RETURN(uint64_t p, ParseRef(token));
-        r.ids.push_back(p);
-      }
-      break;
-    }
-    case RecordType::kSetVersionState: {
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "design"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "version object"));
-      CADDB_ASSIGN_OR_RETURN(r.aux, ReadName(in, "state"));
-      break;
-    }
-    case RecordType::kSetDefaultVersion: {
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "design"));
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "version object"));
-      break;
-    }
-    case RecordType::kBindGeneric: {
-      if (!(in >> r.result)) {
-        return ParseError("vgeneric record is missing the binding id");
-      }
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "inheritor"));
-      CADDB_ASSIGN_OR_RETURN(r.name, ReadName(in, "design"));
-      CADDB_ASSIGN_OR_RETURN(r.aux, ReadName(in, "inher-rel type"));
-      break;
-    }
-    case RecordType::kMarkResolved: {
-      if (!(in >> r.result)) {
-        return ParseError("vresolved record is missing the binding id");
-      }
-      CADDB_ASSIGN_OR_RETURN(r.a, ReadRef(in, "version"));
-      break;
-    }
+  }
+  r.detach = (present & kDetach) != 0;
+  CADDB_RETURN_IF_ERROR(in.ExpectEnd());
+  if (present & rule.optional & ~uint64_t{NonDefaultFields(r)}) {
+    return in.Error(std::string(rule.name) +
+                    " record carries an optional field at its default");
   }
   return r;
-}
-
-bool Record::operator==(const Record& other) const {
-  return type == other.type && txn == other.txn && result == other.result &&
-         a == other.a && b == other.b && name == other.name &&
-         aux == other.aux && text == other.text && value == other.value &&
-         ids == other.ids && participants == other.participants &&
-         detach == other.detach;
 }
 
 }  // namespace wal

@@ -60,12 +60,12 @@ struct Record {
   uint64_t result = 0;    // surrogate returned by creates / generic-binding id
   uint64_t a = 0;         // first operand surrogate (object, inheritor, ...)
   uint64_t b = 0;         // second operand surrogate (transmitter, ...)
-  std::string name;       // type / class / attribute / design name
-  std::string aux;        // secondary name (class, subclass, rel-type, state)
-  std::string text;       // DDL source (kDdl only)
-  Value value;            // kSetAttribute payload
-  std::vector<uint64_t> ids;  // kAddVersion predecessors
-  std::map<std::string, std::vector<uint64_t>> participants;
+  std::string name{};     // type / class / attribute / design name
+  std::string aux{};      // secondary name (class, subclass, rel-type, state)
+  std::string text{};     // DDL source (kDdl only)
+  Value value{};          // kSetAttribute payload
+  std::vector<uint64_t> ids{};  // kAddVersion predecessors
+  std::map<std::string, std::vector<uint64_t>> participants{};
   bool detach = false;    // kDelete: DeletePolicy::kDetachInheritors
 
   // ---- Factories (one per operation; arguments mirror the API call) ----
@@ -104,17 +104,28 @@ struct Record {
   static Record MarkResolved(uint64_t txn, uint64_t binding_id,
                              uint64_t version);
 
-  /// Single-line text payload (framed with length + CRC by log_io, so the
-  /// encoding itself needs no terminator). Values use the persist codec;
-  /// DDL text is quoted with the persist string escaping, so payloads never
-  /// contain raw newlines.
+  /// Binary payload (framed with length + CRC by log_io, so the encoding
+  /// needs no terminator), in the util/bytes.h layout:
+  ///
+  ///   u8 type, varint txn, varint field-presence mask, then the present
+  ///   fields in this order: result, a, b (varints); name, aux, text
+  ///   (strings); value (string, persist::EncodeValue text); ids (varint
+  ///   n, n varints); participants (varint n, n x (string role, varint k,
+  ///   k varints), roles ascending). detach has no bytes: its bit is the
+  ///   value.
+  ///
+  /// Which fields a type must and may carry is one table row per
+  /// RecordType (record.cc); an optional field is written only when it is
+  /// not at its default.
   std::string Encode() const;
 
-  /// Inverse of Encode; kParseError with a field-level message on any
-  /// malformed payload.
+  /// Inverse of Encode. kParseError on an unknown type, a field the type
+  /// does not allow or lacks, a non-canonical varint, value or default-held
+  /// optional field, a length past the end, or trailing bytes — so every
+  /// payload it accepts re-encodes byte-identically.
   static Result<Record> Decode(const std::string& payload);
 
-  bool operator==(const Record& other) const;
+  bool operator==(const Record& other) const = default;
 };
 
 }  // namespace wal

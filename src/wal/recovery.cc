@@ -7,6 +7,7 @@
 
 #include "core/database.h"
 #include "persist/dump.h"
+#include "util/bytes.h"
 #include "wal/checkpoint.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
@@ -58,17 +59,11 @@ struct ScannedRecord {
 /// CRC32C over (previous fingerprint, lsn, payload crc).
 uint32_t CombineFingerprint(uint32_t fingerprint, uint64_t lsn,
                             uint32_t payload_crc) {
-  unsigned char buf[16];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<unsigned char>(fingerprint >> (8 * i));
-  }
-  for (int i = 0; i < 8; ++i) {
-    buf[4 + i] = static_cast<unsigned char>(lsn >> (8 * i));
-  }
-  for (int i = 0; i < 4; ++i) {
-    buf[12 + i] = static_cast<unsigned char>(payload_crc >> (8 * i));
-  }
-  return Crc32c(reinterpret_cast<const char*>(buf), sizeof(buf));
+  char buf[16];
+  bytes::StoreU32(buf, fingerprint);
+  bytes::StoreU64(buf + 4, lsn);
+  bytes::StoreU32(buf + 12, payload_crc);
+  return Crc32c(buf, sizeof(buf));
 }
 
 /// Applies one already-committed record to `db`, translating the writing

@@ -24,10 +24,12 @@
 #include "analysis/diagnostics.h"
 #include "core/database.h"
 #include "fault/failpoint.h"
+#include "page_file_damage.h"
 #include "replication/manifest.h"
 #include "shell/dispatcher.h"
 #include "storage/heap_record.h"
 #include "storage/page.h"
+#include "util/bytes.h"
 #include "wal/checkpoint.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
@@ -324,6 +326,8 @@ TEST(DiskVerifierTest, CrashAtPageFlushFailpointsVerifiesWithZeroErrors) {
       ASSERT_TRUE(run.ok()) << run.ToString();
       // Destroyed without Close: the crash.
     }
+    EXPECT_TRUE(PageFileShowsATear(dir))
+        << "the armed cut left every page whole";
     DiskVerifyReport before = Verify(dir);
     EXPECT_EQ(before.diagnostics.error_count(), 0u) << before.RenderText();
     auto recovered = Database::Open(dir);
@@ -501,6 +505,36 @@ TEST(DiskVerifierTest, Cad304RecordKeyedToDifferentSurrogate) {
       << report.RenderText();
 }
 
+TEST(DiskVerifierTest, Cad304RecordPayloadIsNotAnEncodedObject) {
+  const std::string dir = BuildDatabase("cad304_payload");
+  PageScan scan = ScanPages(dir);
+  ASSERT_FALSE(scan.slotted.empty());
+  uint32_t target = scan.slotted[0];
+  std::string page = ReadPage(dir, target);
+  Result<std::vector<std::pair<uint16_t, uint16_t>>> slots =
+      storage::Page::RawSlotDirectory(page);
+  ASSERT_TRUE(slots.ok());
+  bool rewrote = false;
+  for (const auto& [offset, length] : *slots) {
+    if (offset == storage::kDeadSlotOffset) continue;
+    // Keep the 8-byte key, overwrite the payload: its leading varint now
+    // overflows 64 bits, so nothing of it decodes.
+    for (size_t i = storage::heap_record::kDataHeaderBytes; i < length; ++i) {
+      page[offset + i] = static_cast<char>(0xFF);
+    }
+    rewrote = true;
+    break;
+  }
+  ASSERT_TRUE(rewrote);
+  WritePageRechecksummed(dir, target, page);
+  DiskVerifyReport report = Verify(dir);
+  EXPECT_EQ(CountCode(report.diagnostics, "CAD304"), 1u)
+      << report.RenderText();
+  EXPECT_NE(report.RenderText().find("record payload is not an encoded object"),
+            std::string::npos)
+      << report.RenderText();
+}
+
 /// Rewrites the single overflow record of page `id`, patching its chain
 /// header via `mutate(head_byte, id_bytes, next_bytes)` on the raw record.
 void PatchOverflowRecord(const std::string& dir, uint32_t id,
@@ -611,7 +645,7 @@ TEST(DiskVerifierTest, Cad307DuplicateSurrogate) {
     for (const auto& [offset, length] : *slots) {
       if (offset == storage::kDeadSlotOffset || length < 8) continue;
       if (!have_first) {
-        first_id = storage::heap_record::GetU64(page.data() + offset);
+        first_id = bytes::LoadU64(page.data() + offset);
         have_first = true;
         continue;
       }

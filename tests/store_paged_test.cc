@@ -15,6 +15,7 @@
 #include "analysis/diagnostics.h"
 #include "core/database.h"
 #include "fault/failpoint.h"
+#include "page_file_damage.h"
 #include "persist/dump.h"
 #include "shell/dispatcher.h"
 #include "storage/page.h"
@@ -245,6 +246,8 @@ TEST(StorePagedTest, CrashAtEveryPageFlushFailpointRecovers) {
       // Crash: the Database is destroyed with torn page writes on disk
       // and no further checkpoint. (Close() never writes pages.)
     }
+    EXPECT_TRUE(PageFileShowsATear(dir))
+        << "the armed cut left every page whole";
     DurabilityOptions options;
     options.buffer_pool_pages = kPoolPages;
     auto recovered = Database::Open(dir, options);

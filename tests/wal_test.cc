@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "codec_corpus.h"
 #include "core/database.h"
 #include "core/paper_schemas.h"
 #include "core/stats.h"
@@ -56,40 +57,7 @@ std::string CanonicalDump(const Database& db) {
 
 // ---- Record encoding ----
 
-std::vector<Record> AllRecordKinds() {
-  return {
-      Record::Begin(7),
-      Record::Commit(7),
-      Record::Abort(9),
-      Record::Ddl(kAutoCommitTxn, "obj-type X =\n  attributes:\n"
-                                  "    \"quoted\" A: integer;\nend X;\n"),
-      Record::CreateClass(kAutoCommitTxn, "Plates", "Plate"),
-      Record::CreateObject(kAutoCommitTxn, 12, "Plate", "Plates"),
-      Record::CreateObject(3, 13, "Plate", ""),
-      Record::CreateSubobject(kAutoCommitTxn, 14, 12, "Pins"),
-      Record::CreateRelationship(kAutoCommitTxn, 15, "Wire",
-                                 {{"Pin1", {3, 4}}, {"Pin2", {5}}}),
-      Record::CreateSubrel(kAutoCommitTxn, 16, 12, "Wires",
-                           {{"Pin1", {3}}, {"Pin2", {}}}),
-      Record::Bind(kAutoCommitTxn, 17, 12, 13, "AllOf_Plate"),
-      Record::Unbind(kAutoCommitTxn, 12),
-      Record::SetAttribute(5, 12, "Thickness", Value::Int(4)),
-      Record::SetAttribute(
-          kAutoCommitTxn, 12, "Shape",
-          Value::Record({{"P", Value::Point(1, -2)},
-                         {"Tags", Value::List({Value::Enum("A"),
-                                               Value::String("x;\"y\"")})}})),
-      Record::Delete(kAutoCommitTxn, 12, true),
-      Record::Delete(4, 13, false),
-      Record::CreateDesign(kAutoCommitTxn, "alu", "Plate"),
-      Record::AddVersion(kAutoCommitTxn, "alu", 12, {10, 11}),
-      Record::AddVersion(kAutoCommitTxn, "alu", 12, {}),
-      Record::SetVersionState(kAutoCommitTxn, "alu", 12, "released"),
-      Record::SetDefaultVersion(kAutoCommitTxn, "alu", 12),
-      Record::BindGeneric(kAutoCommitTxn, 2, 12, "alu", "AllOf_Plate"),
-      Record::MarkResolved(kAutoCommitTxn, 2, 12),
-  };
-}
+using codec_corpus::AllRecordKinds;
 
 TEST(WalRecordTest, EncodeDecodeRoundTrips) {
   for (const Record& r : AllRecordKinds()) {
@@ -102,10 +70,28 @@ TEST(WalRecordTest, EncodeDecodeRoundTrips) {
 }
 
 TEST(WalRecordTest, MalformedPayloadsRejected) {
-  for (const char* bad :
-       {"", "nonsense", "create", "create 0", "set 0 12", "begin x",
-        "commit", "ddl 0 unquoted", "bind 0 1 2", "version-add 0 d"}) {
-    EXPECT_FALSE(Record::Decode(bad).ok()) << bad;
+  std::vector<std::string> bad;
+  for (const Record& r : AllRecordKinds()) {
+    const std::string payload = r.Encode();
+    // Every strict truncation, and trailing bytes.
+    for (size_t n = 0; n < payload.size(); ++n) {
+      bad.push_back(payload.substr(0, n));
+    }
+    bad.push_back(payload + std::string(1, '\0'));
+  }
+  // Type byte, txn varint, field-presence mask: begin 7 is "\x00\x07\x00".
+  bad.push_back(std::string("\x13\x07\x00", 3));  // one past kMarkResolved
+  bad.push_back(std::string("\xff\x07\x00", 3));
+  bad.push_back(std::string("\x00\x07\x02\x05", 4));  // begin carrying `a`
+  bad.push_back(std::string("\x00\x87\x00\x00", 4));  // overlong txn
+  bad.push_back(std::string("\x0a\x00\x00", 3));  // unbind without `a`
+  // delete @12 with a `b` field: the mask's `b` bit is not allowed.
+  bad.push_back(std::string("\x0c\x00\x06\x0c\x0d", 5));
+  // create with a present but empty optional class name.
+  bad.push_back(std::string("\x05\x00\x19\x0c\x01P\x00", 7));
+  for (const std::string& payload : bad) {
+    EXPECT_FALSE(Record::Decode(payload).ok())
+        << "accepted " << ::testing::PrintToString(payload);
   }
 }
 
@@ -242,8 +228,8 @@ CheckpointData MetaOnly(const std::string& meta) {
   return data;
 }
 
-/// Publishes a checkpoint in one of the retired dump-based formats (1 has
-/// no generation field, 2 has one). The body CRC is valid, so only the
+/// Publishes a checkpoint in one of the retired formats (1 has no
+/// generation field, 2 and 3 have one). The body CRC is valid, so only the
 /// version can reject the file.
 void WriteRetiredCheckpoint(const std::string& dir, int version,
                             uint64_t lsn) {
@@ -253,7 +239,7 @@ void WriteRetiredCheckpoint(const std::string& dir, int version,
                 Crc32cMask(Crc32c(body.data(), body.size())));
   std::ofstream f(dir + "/" + CheckpointFileName(lsn));
   f << "caddb-checkpoint " << version << " " << lsn
-    << (version == 2 ? " 1" : "") << " " << body.size() << " " << crc_hex
+    << (version >= 2 ? " 1" : "") << " " << body.size() << " " << crc_hex
     << "\n"
     << body;
 }
@@ -285,7 +271,7 @@ TEST(CheckpointTest, CorruptNewestFallsBackToOlderValidOne) {
   // Fake a newer checkpoint with a damaged body (CRC mismatch).
   {
     std::ofstream f(dir + "/" + CheckpointFileName(9));
-    f << "caddb-checkpoint 3 9 0 10 deadbeef\ngarbage..\n";
+    f << "caddb-checkpoint 4 9 0 10 deadbeef\ngarbage..\n";
   }
   auto loaded = ReadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -294,7 +280,7 @@ TEST(CheckpointTest, CorruptNewestFallsBackToOlderValidOne) {
 }
 
 TEST(CheckpointTest, RetiredVersionsAreRejectedByName) {
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     SCOPED_TRACE(version);
     std::string dir =
         TestDir("checkpoint_retired_v" + std::to_string(version));
@@ -316,7 +302,7 @@ TEST(CheckpointTest, RetiredVersionsAreRejectedByName) {
 }
 
 TEST(CheckpointTest, OpenRefusesDirectoryWithOnlyRetiredCheckpoint) {
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     SCOPED_TRACE(version);
     std::string dir =
         TestDir("checkpoint_retired_open_v" + std::to_string(version));
