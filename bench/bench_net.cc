@@ -1,11 +1,11 @@
 // Experiment E16 (EXPERIMENTS.md): the network service layer under load.
 // (1) Wire overhead: one request round-trip over a loopback session versus
-// the same command executed in-process — frame encode/decode, two socket
-// hops, and the worker handoff. (2) Concurrency: aggregate throughput as
-// the session count grows to 32+ — execution is serialized under the
-// server's single execution lock, so the measure of merit is how well the
-// listener, readers and bounded queue keep 32 concurrent sessions fed
-// without sheds (capacity headroom) or with them (overload shape).
+// the same command executed in-process — frame encode/decode and two
+// socket hops. (2) Concurrency: aggregate throughput as the session count
+// grows to 64 — each session's reader executes its own requests, serialized
+// under the server's single execution lock, so the measure of merit is how
+// well 64 readers contending for that lock keep the server busy without
+// sheds.
 // (3) Scrape cost: a full Prometheus exposition over HTTP.
 
 #include <benchmark/benchmark.h>
@@ -31,13 +31,8 @@ using caddb::bench::Unwrap;
 constexpr const char* kBoxDdl =
     "obj-type Box = attributes: W, H: integer; end Box;";
 
-std::unique_ptr<caddb::net::Server> StartServer(Database* db,
-                                                size_t workers = 4,
-                                                size_t queue = 4096) {
+std::unique_ptr<caddb::net::Server> StartServer(Database* db) {
   caddb::net::ServerOptions options;
-  options.worker_threads = workers;
-  options.queue_capacity = queue;
-  options.session_inflight_cap = queue;
   options.max_connections = 128;
   return Unwrap(caddb::net::Server::Start(db, std::move(options)));
 }

@@ -277,13 +277,16 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
 step "tsan: lock manager + transaction + wal group commit + obs registry/log + net + net chaos + replication + shell + paged store + resolution cache + soak tests"
 cmake -B build-ci/tsan -S . -DCADDB_WERROR=ON -DCADDB_TSAN=ON \
       "${GENERATOR_FLAGS[@]}"
-cmake --build build-ci/tsan -j "$JOBS" --target lock_manager_test txn_test \
-      wal_test wal_batch_sync_test obs_test obs_log_test net_trace_test \
-      buffer_pool_concurrency_test net_server_test net_daemon_test fault_test \
-      fault_net_test replication_test shell_test stats_replica_test \
-      store_paged_test resolution_cache_test soak_test
+# One list drives both the build and the ctest filter, so they cannot drift.
+TSAN_TESTS=(lock_manager_test txn_test wal_test wal_batch_sync_test obs_test
+            obs_log_test net_trace_test buffer_pool_concurrency_test
+            net_server_test net_daemon_test fault_test fault_net_test
+            replication_test shell_test stats_replica_test store_paged_test
+            resolution_cache_test soak_test)
+cmake --build build-ci/tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
+TSAN_REGEX=$(IFS='|'; echo "${TSAN_TESTS[*]}")
 ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
-      -R '^(lock_manager_test|txn_test|wal_test|wal_batch_sync_test|obs_test|obs_log_test|net_trace_test|buffer_pool_concurrency_test|net_server_test|net_daemon_test|fault_test|fault_net_test|replication_test|shell_test|stats_replica_test|store_paged_test|resolution_cache_test|soak_test)$'
+      -R "^(${TSAN_REGEX})\$"
 
 step "bench build: all benchmark targets compile"
 cmake --build build-ci/werror -j "$JOBS" --target \

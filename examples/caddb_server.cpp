@@ -24,16 +24,15 @@
 //                          (how CI discovers an ephemeral port)
 //   --read-only            every session is read-only
 //   --max-connections N    admission cap (default 64)
-//   --queue-capacity N     bounded request queue (default 128)
-//   --workers N            worker threads (default 4)
 //   --ship DIR             auto-ship to DIR (primary mode)
 //   --ship-interval-ms N   auto-ship cadence (default 200)
 //   --staged DIR           follower staging dir (default <replica>/.staged;
 //                          give each follower of a shared tree its own)
 //   --poll-interval-ms N   auto-poll cadence (default 200)
 //   --max-lag N            shed reads when replication lag exceeds N
-//   --deadline-ms N        shed requests that waited in the queue longer
-//                          than N ms (bounded latency under chaos; 0 = off)
+//   --deadline-ms N        shed requests that waited longer than N ms for
+//                          the execution lock (bounded latency under
+//                          chaos; 0 = off)
 //   --log-file PATH        append structured events as JSONL to PATH
 //   --log-level LVL        minimum event level: debug|info|warn|error|off
 //                          (default info)
@@ -76,8 +75,6 @@ struct Flags {
   bool follow = false;
   bool read_only = false;
   size_t max_connections = 64;
-  size_t queue_capacity = 128;
-  size_t workers = 4;
   std::string ship_dir;
   uint64_t ship_interval_ms = 200;
   std::string staged_dir;
@@ -124,14 +121,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = value("--max-connections");
       if (v == nullptr) return false;
       flags->max_connections = std::stoul(v);
-    } else if (arg == "--queue-capacity") {
-      const char* v = value("--queue-capacity");
-      if (v == nullptr) return false;
-      flags->queue_capacity = std::stoul(v);
-    } else if (arg == "--workers") {
-      const char* v = value("--workers");
-      if (v == nullptr) return false;
-      flags->workers = std::stoul(v);
     } else if (arg == "--ship") {
       const char* v = value("--ship");
       if (v == nullptr) return false;
@@ -209,8 +198,6 @@ int main(int argc, char** argv) {
   server_options.bind_address = flags.bind;
   server_options.port = flags.port;
   server_options.max_connections = flags.max_connections;
-  server_options.queue_capacity = flags.queue_capacity;
-  server_options.worker_threads = flags.workers;
   server_options.read_only = flags.read_only;
   server_options.max_replica_lag = flags.max_lag;
   server_options.request_deadline_us = flags.deadline_ms * 1000;

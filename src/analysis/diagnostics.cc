@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/json_writer.h"
+
 namespace caddb {
 namespace analysis {
 
@@ -17,39 +19,6 @@ int SeverityRank(Severity severity) {
       return 2;
   }
   return 3;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          *out += "\\u00";
-          out->push_back(kHex[(c >> 4) & 0xf]);
-          out->push_back(kHex[c & 0xf]);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 std::string Plural(size_t n, const char* noun) {
@@ -227,20 +196,20 @@ std::string DiagnosticBag::RenderJson() const {
     const Diagnostic& d = diagnostics_[i];
     if (i > 0) out += ",";
     out += "{\"code\":";
-    AppendJsonString(&out, d.code);
+    JsonWriter::AppendEscaped(&out, d.code);
     out += ",\"severity\":";
-    AppendJsonString(&out, SeverityName(d.severity));
+    JsonWriter::AppendEscaped(&out, SeverityName(d.severity));
     out += ",\"message\":";
-    AppendJsonString(&out, d.message);
+    JsonWriter::AppendEscaped(&out, d.message);
     if (d.loc.valid()) {
       out += ",\"line\":" + std::to_string(d.loc.line);
       out += ",\"column\":" + std::to_string(d.loc.column);
     }
     out += ",\"entity\":";
-    AppendJsonString(&out, d.entity);
+    JsonWriter::AppendEscaped(&out, d.entity);
     if (!d.hint.empty()) {
       out += ",\"hint\":";
-      AppendJsonString(&out, d.hint);
+      JsonWriter::AppendEscaped(&out, d.hint);
     }
     out += "}";
   }

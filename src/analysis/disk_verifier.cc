@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -19,6 +18,7 @@
 #include "storage/paged_heap.h"
 #include "store/object_codec.h"
 #include "util/bytes.h"
+#include "util/json_writer.h"
 #include "wal/checkpoint.h"
 #include "wal/crc32c.h"
 #include "wal/log_io.h"
@@ -45,29 +45,6 @@ struct PlannedFix {
   uint64_t truncate_to = 0;  // kTruncateWalTail / kTruncatePageTail
   uint32_t page_id = 0;      // kZeroPage
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Everything one verification pass derives, shared across the passes so
 /// the cross-artifact invariants can see all single-artifact results.
@@ -870,11 +847,14 @@ std::string DiskVerifyReport::RenderJson() const {
       << ",\"clean\":" << (Clean() ? "true" : "false")
       << ",\"report\":" << diagnostics.RenderJson() << ",\"plan\":[";
   for (size_t i = 0; i < plan.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "{\"kind\":\"" << JsonEscape(plan[i].kind) << "\",\"code\":\""
-        << JsonEscape(plan[i].code) << "\",\"description\":\""
-        << JsonEscape(plan[i].description) << "\",\"applied\":"
-        << (plan[i].applied ? "true" : "false") << "}";
+    std::string entry = i != 0 ? ",{\"kind\":" : "{\"kind\":";
+    JsonWriter::AppendEscaped(&entry, plan[i].kind);
+    entry += ",\"code\":";
+    JsonWriter::AppendEscaped(&entry, plan[i].code);
+    entry += ",\"description\":";
+    JsonWriter::AppendEscaped(&entry, plan[i].description);
+    entry += plan[i].applied ? ",\"applied\":true}" : ",\"applied\":false}";
+    out << entry;
   }
   out << "]";
   if (fix_applied) out << ",\"post_fix\":" << post_fix.RenderJson();

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/database.h"
@@ -12,54 +13,37 @@
 #include "replication/follower.h"
 #include "shell/dispatcher.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace caddb {
 namespace net {
 
-/// Per-connection state. Reader thread, worker pool and accept loop all
-/// hold shared_ptrs, so a session outlives whichever side notices the
-/// disconnect first; the socket is the only resource torn down eagerly.
+/// Per-connection state. The reader thread and the sessions_ map hold
+/// shared_ptrs; the reader erases the map's when it exits. Everything but
+/// the socket (which Shutdown() may half-close) and what stats() samples
+/// is touched only by the reader.
 struct Server::Session {
   uint64_t id = 0;
   Socket sock;
   std::string peer;
+  /// Written by the reader's hello under sessions_mu_ (stats() reads them).
   std::string ns;
   bool read_only = false;
-  std::atomic<bool> hello_done{false};
+  bool hello_done = false;
   /// Created on first request (under the execution lock); carries the
   /// session's schema-block state and sticky ship target.
   std::unique_ptr<shell::Dispatcher> dispatcher;
-  /// Set (under the execution lock) once the session ran `quit`: a request
-  /// a worker picks up after that is dropped, not served.
-  bool quit = false;
-  /// Serializes frame writes: worker responses and reader sheds interleave.
-  std::mutex write_mu;
   std::thread reader_thread;
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> sheds{0};
   std::atomic<uint64_t> bytes_in{0};
   std::atomic<uint64_t> bytes_out{0};
-  std::atomic<size_t> inflight{0};
   /// Previous stats() sample, for per-session rates between successive
   /// `server status` calls. Guarded by sessions_mu_ (stats() holds it).
   uint64_t prev_requests = 0;
   uint64_t prev_bytes_in = 0;
   uint64_t prev_bytes_out = 0;
   uint64_t prev_sample_us = 0;
-};
-
-struct Server::Request {
-  std::shared_ptr<Session> session;
-  uint64_t id = 0;
-  std::string line;
-  /// When the reader enqueued it — the deadline check compares queue wait
-  /// against ServerOptions::request_deadline_us.
-  uint64_t enqueue_us = 0;
-  /// The client's trace context, carried explicitly across the reader →
-  /// worker hand-off: the thread-local span stack does not survive the
-  /// queue, so without this the net.request span would root a fresh tree
-  /// on whichever worker picked it up.
-  obs::TraceContext ctx;
 };
 
 uint64_t Server::NowUs() const {
@@ -107,12 +91,6 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   std::unique_ptr<Server> server(new Server(db, std::move(options)));
   CADDB_RETURN_IF_ERROR(server->Listen());
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
-  const size_t workers = server->options_.worker_threads > 0
-                             ? server->options_.worker_threads
-                             : 1;
-  for (size_t i = 0; i < workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
   return server;
 }
 
@@ -157,26 +135,12 @@ void Server::Shutdown() {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (auto& [id, session] : sessions_) session->sock.ShutdownBoth();
   }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  // Workers exit on stop_ without draining the queue, so requests still
-  // queued here hold inflight counts their readers are about to wait on.
-  // Drop them now — before the reader wait below — or a reader parked in
-  // its inflight drain would never wake. Enqueues observe stop_ under
-  // queue_mu_, so nothing lands in the queue after this drain.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (Request& request : queue_) {
-      request.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    queue_.clear();
-  }
   // Readers erase themselves from sessions_ and park their thread handles
-  // in finished_readers_; with every socket shut down they exit promptly.
+  // in finished_readers_. With every socket shut down they exit once they
+  // have shed what they already decoded; a PauseExecution() holder delays
+  // that until it lets go of the execution lock.
   while (true) {
     ReapFinishedReaders();
     {
@@ -251,63 +215,47 @@ void Server::AcceptLoop() {
 void Server::ReaderLoop(std::shared_ptr<Session> session) {
   FrameDecoder decoder;
   std::string sniff;
-  bool http = false;
   bool sniffed = false;
+  bool open = true;
   char buf[16 * 1024];
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (open && !stop_.load(std::memory_order_acquire)) {
     Result<size_t> n = session->sock.Recv(buf, sizeof(buf));
     if (!n.ok() || *n == 0) break;
+    const uint64_t arrival_us = options_.request_deadline_us > 0 ? NowUs() : 0;
     session->bytes_in.fetch_add(*n, std::memory_order_relaxed);
     m_bytes_in_->Increment(*n);
-    if (!sniffed) {
+    Status fed;
+    if (sniffed) {
+      fed = decoder.Feed(buf, *n);
+    } else {
       // Same-port HTTP: the frame magic starts "CADF", a scrape starts
       // "GET ". Decide on the first 4 bytes.
       sniff.append(buf, *n);
       if (sniff.size() < 4) continue;
       sniffed = true;
-      http = sniff.compare(0, 4, "GET ") == 0;
-      if (http) {
-        HandleHttp(session, std::move(sniff));
+      if (sniff.compare(0, 4, "GET ") == 0) {
+        HandleHttp(*session, std::move(sniff));
         break;
       }
-      const Status fed = decoder.Feed(sniff.data(), sniff.size());
+      fed = decoder.Feed(sniff.data(), sniff.size());
       sniff.clear();
-      if (!fed.ok()) {
-        m_protocol_errors_->Increment();
-        CADDB_LOG(&obs_->log, obs::LogLevel::kWarn, "net",
-                  "session " + std::to_string(session->id) +
-                      " framing lost: " + fed.ToString());
-        WriteFrame(session, FrameType::kProtocolError, fed.ToString());
-        break;
-      }
-    } else {
-      const Status fed = decoder.Feed(buf, *n);
-      if (!fed.ok()) {
-        m_protocol_errors_->Increment();
-        CADDB_LOG(&obs_->log, obs::LogLevel::kWarn, "net",
-                  "session " + std::to_string(session->id) +
-                      " framing lost: " + fed.ToString());
-        WriteFrame(session, FrameType::kProtocolError, fed.ToString());
-        break;
-      }
     }
+    if (!fed.ok()) {
+      m_protocol_errors_->Increment();
+      CADDB_LOG(&obs_->log, obs::LogLevel::kWarn, "net",
+                "session " + std::to_string(session->id) +
+                    " framing lost: " + fed.ToString());
+      WriteFrame(*session, FrameType::kProtocolError, fed.ToString());
+      break;
+    }
+    // Run to completion: every request of this batch executes here, in
+    // arrival order, before the reader reads more.
     Frame frame;
-    bool goodbye = false;
-    while (decoder.Next(&frame)) {
-      if (frame.type == FrameType::kGoodbye) {
-        goodbye = true;
-        break;
-      }
-      HandleFrame(session, std::move(frame));
+    while (open && decoder.Next(&frame)) {
+      open = HandleFrame(*session, std::move(frame), arrival_us);
     }
-    if (goodbye) break;
   }
   session->sock.ShutdownBoth();
-  // Wait for in-flight requests so no worker writes to a session whose
-  // reader has torn down. Workers drop the shared_ptr when done.
-  while (session->inflight.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   m_connections_->Add(-1);
   std::lock_guard<std::mutex> lock(sessions_mu_);
   finished_readers_.push_back(std::move(session->reader_thread));
@@ -317,8 +265,8 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
   // half-closes an fd number the kernel has already recycled.
 }
 
-void Server::HandleFrame(const std::shared_ptr<Session>& session,
-                         Frame frame) {
+bool Server::HandleFrame(Session& session, Frame frame, uint64_t arrival_us) {
+  if (frame.type == FrameType::kGoodbye) return false;
   if (frame.type == FrameType::kHello) {
     SessionRole requested = SessionRole::kDefault;
     std::string ns;
@@ -326,35 +274,36 @@ void Server::HandleFrame(const std::shared_ptr<Session>& session,
     if (!decoded.ok()) {
       m_protocol_errors_->Increment();
       WriteFrame(session, FrameType::kProtocolError, decoded.ToString());
-      session->sock.ShutdownBoth();
-      return;
+      return false;
     }
     const bool forced_read_only =
         options_.read_only || follower_attached_.load(std::memory_order_acquire);
-    session->ns = ns;
-    session->read_only =
-        forced_read_only || requested == SessionRole::kReadOnly;
-    session->hello_done.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      session.ns = ns;
+      session.read_only =
+          forced_read_only || requested == SessionRole::kReadOnly;
+    }
+    session.hello_done = true;
     const SessionRole granted =
-        session->read_only ? SessionRole::kReadOnly : SessionRole::kWritable;
+        session.read_only ? SessionRole::kReadOnly : SessionRole::kWritable;
     // The caps word is the trace-capability handshake: clients that parse
     // it attach trace context to requests; old clients just display it.
     std::string banner = "caddb " + address() + " caps=trace";
     if (forced_read_only) banner += " (read-only)";
     CADDB_LOG(&obs_->log, obs::LogLevel::kDebug, "net",
-              "session " + std::to_string(session->id) + " hello from " +
-                  session->peer + (session->read_only ? " (read-only)" : ""));
+              "session " + std::to_string(session.id) + " hello from " +
+                  session.peer + (session.read_only ? " (read-only)" : ""));
     WriteFrame(session, FrameType::kHelloOk,
                EncodeHelloOkPayload(granted, banner));
-    return;
+    return true;
   }
   if (frame.type != FrameType::kRequest) {
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError,
                "protocol error: unexpected frame type " +
                    std::to_string(static_cast<int>(frame.type)));
-    session->sock.ShutdownBoth();
-    return;
+    return false;
   }
   uint64_t id = 0;
   std::string line;
@@ -363,163 +312,101 @@ void Server::HandleFrame(const std::shared_ptr<Session>& session,
   if (!decoded.ok()) {
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError, decoded.ToString());
-    session->sock.ShutdownBoth();
-    return;
+    return false;
   }
-  if (!session->hello_done.load(std::memory_order_acquire)) {
+  if (!session.hello_done) {
     m_protocol_errors_->Increment();
     WriteFrame(session, FrameType::kProtocolError,
                "protocol error: request before hello");
-    session->sock.ShutdownBoth();
-    return;
+    return false;
   }
-  // Admission control, on the reader thread so a saturated server still
-  // answers in bounded time: per-session pipelining cap first, then the
-  // bounded central queue.
-  if (session->inflight.load(std::memory_order_acquire) >=
-      options_.session_inflight_cap) {
-    Shed(session, id,
-         "session cap: " + std::to_string(options_.session_inflight_cap) +
-             " requests already in flight");
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    // The stop_ check must happen under queue_mu_: a reader draining
-    // already-decoded frames can get here after Shutdown() has drained the
-    // queue, and enqueueing then would strand the inflight count forever
-    // (no worker will ever pick it up).
-    if (!stop_.load(std::memory_order_acquire) &&
-        queue_.size() < options_.queue_capacity) {
-      session->inflight.fetch_add(1, std::memory_order_acq_rel);
-      queue_.push_back(Request{session, id, std::move(line), NowUs(), ctx});
-      queue_cv_.notify_one();
-      return;
-    }
-    // Shed outside the lock: it writes to the socket.
-  }
-  if (stop_.load(std::memory_order_acquire)) {
-    Shed(session, id, "server shutting down");
-    return;
-  }
-  Shed(session, id,
-       "server overloaded: request queue full (" +
-           std::to_string(options_.queue_capacity) + ")");
+  return Execute(session, id, line, ctx, arrival_us);
 }
 
-void Server::WorkerLoop() {
-  while (true) {
-    Request request;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !queue_.empty();
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      request = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (options_.worker_hook_for_test) options_.worker_hook_for_test();
-    const uint64_t deadline = options_.request_deadline_us;
-    const uint64_t waited =
-        deadline > 0 ? NowUs() - request.enqueue_us : 0;
-    if (deadline > 0 && waited > deadline) {
-      Shed(request.session, request.id,
-           "deadline exceeded: queued " + std::to_string(waited) +
-               "us > " + std::to_string(deadline) + "us");
-    } else {
-      Execute(request);
-    }
-    request.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void Server::Execute(const Request& request) {
-  const std::shared_ptr<Session>& session = request.session;
+bool Server::Execute(Session& session, uint64_t id, const std::string& line,
+                     const obs::TraceContext& ctx, uint64_t arrival_us) {
   std::string output;
   bool error = false;
   bool quit = false;
-  bool shed = false;
   std::string shed_reason;
   obs::TraceContext server_ctx;
   {
     std::lock_guard<std::mutex> exec(exec_mu_);
-    if (session->quit) return;
+    const uint64_t deadline = options_.request_deadline_us;
+    const uint64_t waited = deadline > 0 ? NowUs() - arrival_us : 0;
     Database* db = CurrentDb();
-    if (db == nullptr) {
-      shed = true;
+    if (stop_.load(std::memory_order_acquire)) {
+      shed_reason = "server shutting down";
+    } else if (waited > deadline) {
+      shed_reason = "deadline exceeded: waited " + std::to_string(waited) +
+                    "us > " + std::to_string(deadline) + "us";
+    } else if (db == nullptr) {
       shed_reason = "no database available yet (follower has not caught up)";
     } else if (follower_ != nullptr && options_.max_replica_lag >= 0 &&
                m_replica_lag_->value() > options_.max_replica_lag) {
       // The routing signal: a far-behind replica sheds reads instead of
       // serving stale data. caddb_replication_lag is the same number the
       // fleet's monitoring sees.
-      shed = true;
       shed_reason =
           "replica lag " + std::to_string(m_replica_lag_->value()) +
           " exceeds max " + std::to_string(options_.max_replica_lag);
     } else {
-      // The client's wire context (carried through the queue in
-      // request.ctx) parents this span; Database spans opened inside
-      // ExecuteLine nest under it via the thread-local stack, so the
+      // The client's wire context parents this span; Database spans opened
+      // inside ExecuteLine nest under it via the thread-local stack, so the
       // whole server-side subtree joins the client-rooted trace.
-      obs::Span span(&obs_->trace, "net.request", request.ctx, m_request_us_,
+      obs::Span span(&obs_->trace, "net.request", ctx, m_request_us_,
                      /*always_time=*/true);
       server_ctx = span.context();
-      if (session->dispatcher == nullptr) {
-        session->dispatcher = std::make_unique<shell::Dispatcher>(db);
-        session->dispatcher->set_read_only(session->read_only);
-        session->dispatcher->AttachServer(this);
+      if (session.dispatcher == nullptr) {
+        session.dispatcher = std::make_unique<shell::Dispatcher>(db);
+        session.dispatcher->set_read_only(session.read_only);
+        session.dispatcher->AttachServer(this);
       } else {
-        session->dispatcher->set_db(db);
+        session.dispatcher->set_db(db);
       }
       std::ostringstream out;
-      const size_t errors_before = session->dispatcher->error_count();
-      quit = !session->dispatcher->ExecuteLine(request.line, out);
-      session->quit = quit;
-      error = session->dispatcher->error_count() > errors_before;
+      const size_t errors_before = session.dispatcher->error_count();
+      quit = !session.dispatcher->ExecuteLine(line, out);
+      error = session.dispatcher->error_count() > errors_before;
       output = out.str();
     }
   }
-  if (shed) {
-    Shed(session, request.id, shed_reason);
-    return;
+  if (!shed_reason.empty()) {
+    Shed(session, id, shed_reason);
+    return true;
   }
-  session->requests.fetch_add(1, std::memory_order_relaxed);
+  session.requests.fetch_add(1, std::memory_order_relaxed);
   m_requests_->Increment();
   // Echo this request's server-side context only to clients that sent
   // context themselves — old clients would misread the extension as text.
   WriteFrame(session, FrameType::kResponse,
-             request.ctx.valid()
-                 ? EncodeResponsePayload(request.id, error, output, server_ctx)
-                 : EncodeResponsePayload(request.id, error, output));
+             ctx.valid()
+                 ? EncodeResponsePayload(id, error, output, server_ctx)
+                 : EncodeResponsePayload(id, error, output));
   // `quit` over the wire ends the session, same as at the local prompt.
-  if (quit) session->sock.ShutdownBoth();
+  return !quit;
 }
 
-void Server::WriteFrame(const std::shared_ptr<Session>& session,
-                        FrameType type, const std::string& payload) {
+void Server::WriteFrame(Session& session, FrameType type,
+                        const std::string& payload) {
   const std::string frame = EncodeFrame(type, payload);
-  std::lock_guard<std::mutex> lock(session->write_mu);
-  const Status sent = session->sock.SendAll(frame.data(), frame.size());
+  const Status sent = session.sock.SendAll(frame.data(), frame.size());
   if (sent.ok()) {
-    session->bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
+    session.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
     m_bytes_out_->Increment(frame.size());
   }
 }
 
-void Server::Shed(const std::shared_ptr<Session>& session, uint64_t id,
-                  const std::string& reason) {
-  session->sheds.fetch_add(1, std::memory_order_relaxed);
+void Server::Shed(Session& session, uint64_t id, const std::string& reason) {
+  session.sheds.fetch_add(1, std::memory_order_relaxed);
   m_sheds_->Increment();
   CADDB_LOG(&obs_->log, obs::LogLevel::kInfo, "net",
             "shed request " + std::to_string(id) + " on session " +
-                std::to_string(session->id) + ": " + reason);
+                std::to_string(session.id) + ": " + reason);
   WriteFrame(session, FrameType::kShed, EncodeShedPayload(id, reason));
 }
 
-void Server::HandleHttp(const std::shared_ptr<Session>& session,
-                        std::string initial) {
+void Server::HandleHttp(Session& session, std::string initial) {
   // Minimal HTTP/1.0 for the scrape path: read the request head (bounded),
   // answer one response, close. Prometheus needs nothing more.
   constexpr size_t kMaxHead = 8 * 1024;
@@ -527,9 +414,9 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
   char buf[1024];
   while (head.find("\r\n\r\n") == std::string::npos &&
          head.find("\n\n") == std::string::npos && head.size() < kMaxHead) {
-    Result<size_t> n = session->sock.Recv(buf, sizeof(buf));
+    Result<size_t> n = session.sock.Recv(buf, sizeof(buf));
     if (!n.ok() || *n == 0) break;
-    session->bytes_in.fetch_add(*n, std::memory_order_relaxed);
+    session.bytes_in.fetch_add(*n, std::memory_order_relaxed);
     m_bytes_in_->Increment(*n);
     head.append(buf, *n);
   }
@@ -565,19 +452,23 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
     // metrics-history ring (caddb_server runs the snapshotter; embedders
     // Tick() themselves). `samples` < 2 means the ring cannot answer yet.
     m_scrapes_->Increment();
-    uint64_t window_ms = 10000;
+    Result<uint64_t> window_ms = uint64_t{10000};
     const size_t w = query.find("window=");
     if (w != std::string::npos) {
-      window_ms = 0;
-      for (size_t i = w + 7; i < query.size(); ++i) {
-        if (query[i] < '0' || query[i] > '9') break;
-        window_ms = window_ms * 10 + static_cast<uint64_t>(query[i] - '0');
-      }
+      const size_t from = w + 7;
+      window_ms = ParseUint(
+          std::string_view(query).substr(from, query.find('&', from) - from),
+          "window");
     }
-    JsonWriter json;
-    obs::WriteRateWindowJson(obs_->history.Window(window_ms), &json);
-    body = json.str() + "\n";
-    content_type = "application/json";
+    if (window_ms.ok()) {
+      JsonWriter json;
+      obs::WriteRateWindowJson(obs_->history.Window(*window_ms), &json);
+      body = json.str() + "\n";
+      content_type = "application/json";
+    } else {
+      status = "400 Bad Request";
+      body = window_ms.status().message() + "\n";
+    }
   } else if (path == "/healthz") {
     body = "ok\n";
   } else {
@@ -588,9 +479,9 @@ void Server::HandleHttp(const std::shared_ptr<Session>& session,
                          "\r\nContent-Type: " + content_type +
                          "\r\nContent-Length: " + std::to_string(body.size()) +
                          "\r\nConnection: close\r\n\r\n" + body;
-  const Status sent = session->sock.SendAll(response.data(), response.size());
+  const Status sent = session.sock.SendAll(response.data(), response.size());
   if (sent.ok()) {
-    session->bytes_out.fetch_add(response.size(), std::memory_order_relaxed);
+    session.bytes_out.fetch_add(response.size(), std::memory_order_relaxed);
     m_bytes_out_->Increment(response.size());
   }
 }
@@ -601,17 +492,12 @@ ServerStats Server::stats() const {
   stats.port = port_;
   stats.connections_accepted = m_connections_total_->value();
   stats.connections_rejected = m_connections_rejected_->value();
-  stats.queue_capacity = options_.queue_capacity;
   stats.requests = m_requests_->value();
   stats.sheds = m_sheds_->value();
   stats.protocol_errors = m_protocol_errors_->value();
   stats.scrapes = m_scrapes_->value();
   stats.bytes_in = m_bytes_in_->value();
   stats.bytes_out = m_bytes_out_->value();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stats.queue_depth = queue_.size();
-  }
   std::lock_guard<std::mutex> lock(sessions_mu_);
   stats.sessions_active = sessions_.size();
   const uint64_t now_us = NowUs();
@@ -625,7 +511,6 @@ ServerStats Server::stats() const {
     info.sheds = session->sheds.load(std::memory_order_relaxed);
     info.bytes_in = session->bytes_in.load(std::memory_order_relaxed);
     info.bytes_out = session->bytes_out.load(std::memory_order_relaxed);
-    info.inflight = session->inflight.load(std::memory_order_relaxed);
     // `server top`-style rates: movement since the previous stats() call.
     // The first call for a session has no baseline and reports 0.
     if (session->prev_sample_us != 0 && now_us > session->prev_sample_us) {

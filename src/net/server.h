@@ -2,9 +2,7 @@
 #define CADDB_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,15 +39,6 @@ struct ServerOptions {
   /// Admission control: connections beyond this are answered with a
   /// connection-level kShed frame and closed, in bounded time.
   size_t max_connections = 64;
-  /// Backpressure: the bounded central request queue. A request arriving
-  /// with the queue full is answered kShed immediately — the server never
-  /// buffers without bound.
-  size_t queue_capacity = 128;
-  /// Per-session pipelining cap: requests in flight (queued or executing)
-  /// beyond this are shed, so one aggressive client cannot monopolize the
-  /// queue.
-  size_t session_inflight_cap = 8;
-  size_t worker_threads = 4;
   /// Every session is read-only regardless of its requested role (the
   /// follower-serving mode).
   bool read_only = false;
@@ -64,15 +53,12 @@ struct ServerOptions {
   /// before a follower's first rebuild). Defaults to the database's bundle,
   /// or a private one when `db` is null; must outlive the server.
   obs::Observability* obs = nullptr;
-  /// Per-request deadline: a request that has waited in the queue longer
-  /// than this when a worker picks it up is shed ("deadline exceeded")
-  /// instead of executed — under chaos (slow-loris reads, stalled
-  /// workers) latency degrades to a bounded refusal, never an unbounded
-  /// queue wait. 0 disables.
+  /// Per-request deadline: a request whose session reader gets the
+  /// execution lock more than this long after the request's bytes arrived
+  /// is shed ("deadline exceeded") instead of executed — under chaos
+  /// (slow-loris reads, a held execution lock) latency degrades to a
+  /// bounded refusal, never an unbounded wait. 0 disables.
   uint64_t request_deadline_us = 0;
-  /// Test hook: runs on the worker thread before each request executes
-  /// (used to hold the queue saturated in backpressure tests).
-  std::function<void()> worker_hook_for_test;
   /// Test hook: replaces the monotonic clock the deadline check reads.
   std::function<uint64_t()> clock_us_for_test;
 };
@@ -87,7 +73,6 @@ struct SessionInfo {
   uint64_t sheds = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  size_t inflight = 0;
   /// Rates since the previous stats() sample (0 on a session's first one).
   double requests_per_sec = 0;
   double bytes_in_per_sec = 0;
@@ -102,8 +87,6 @@ struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_rejected = 0;
   size_t sessions_active = 0;
-  size_t queue_depth = 0;
-  size_t queue_capacity = 0;
   uint64_t requests = 0;
   uint64_t sheds = 0;
   uint64_t protocol_errors = 0;
@@ -115,16 +98,17 @@ struct ServerStats {
 
 /// The caddb network service: a threaded TCP listener speaking the framed
 /// protocol in protocol.h, with one Session per connection, admission
-/// control and backpressure, plus a plain-HTTP Prometheus scrape path on
-/// the same port (`GET /metrics` answers the bytes of the shell's
-/// `metrics --format=prom`; `GET /healthz` answers "ok").
+/// control, plus a plain-HTTP Prometheus scrape path on the same port
+/// (`GET /metrics` answers the bytes of the shell's `metrics
+/// --format=prom`; `GET /healthz` answers "ok").
 ///
-/// Threading: one accept thread, one reader thread per connection, and a
-/// worker pool executing requests. Command execution is serialized under a
-/// single execution lock — the Database's plain methods are
-/// single-threaded by contract — so the pool's win is overlapping parse,
-/// I/O and queueing with execution, and the bounded queue is what keeps a
-/// burst from turning into unbounded buffering. Each session owns a
+/// Threading: one accept thread and one reader thread per connection. A
+/// session's reader decodes its frames and executes each request itself,
+/// in arrival order, under a single execution lock — the Database's plain
+/// methods are single-threaded by contract. Only the reader writes its
+/// session's socket. Load stays bounded without a queue: each session has
+/// at most one decoded batch in hand, and whatever it sends after that
+/// waits in the socket (TCP backpressure). Each session owns a
 /// shell::Dispatcher, so the full verb set of the local shell round-trips
 /// over the wire.
 class Server {
@@ -139,8 +123,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Stops accepting, wakes every reader, drains the queue and joins all
-  /// threads. Idempotent; the destructor calls it.
+  /// Stops accepting, wakes every reader and joins all threads. A reader
+  /// that gets the execution lock after this began sheds its remaining
+  /// requests ("server shutting down"). Idempotent; the destructor calls
+  /// it.
   void Shutdown();
 
   uint16_t port() const { return port_; }
@@ -156,32 +142,34 @@ class Server {
   void ServeFollower(replication::Follower* follower);
 
   /// Blocks request execution while held — the auto-poll daemon wraps each
-  /// Follower::Poll in this so a rebuild never frees a database a worker
-  /// is reading.
+  /// Follower::Poll in this so a rebuild never frees a database a session
+  /// reader is reading.
   std::unique_lock<std::mutex> PauseExecution() {
     return std::unique_lock<std::mutex>(exec_mu_);
   }
 
  private:
   struct Session;
-  struct Request;
 
   Server(Database* db, ServerOptions options);
 
   Status Listen();
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Session> session);
-  void WorkerLoop();
-  void HandleFrame(const std::shared_ptr<Session>& session, Frame frame);
-  void HandleHttp(const std::shared_ptr<Session>& session,
-                  std::string initial);
-  void Execute(const Request& request);
-  /// Writes one frame to the session (serialized per session); errors are
-  /// swallowed — a vanished peer is not the server's failure.
-  void WriteFrame(const std::shared_ptr<Session>& session, FrameType type,
+  /// Handles one decoded frame on the session's reader; false ends the
+  /// session (goodbye, a protocol error, or `quit`). `arrival_us` is when
+  /// the frame's bytes arrived (read only when a deadline is set).
+  bool HandleFrame(Session& session, Frame frame, uint64_t arrival_us);
+  void HandleHttp(Session& session, std::string initial);
+  /// Runs one request under the execution lock and writes its response or
+  /// shed. False once the request was `quit`.
+  bool Execute(Session& session, uint64_t id, const std::string& line,
+               const obs::TraceContext& ctx, uint64_t arrival_us);
+  /// Writes one frame to the session; errors are swallowed — a vanished
+  /// peer is not the server's failure.
+  void WriteFrame(Session& session, FrameType type,
                   const std::string& payload);
-  void Shed(const std::shared_ptr<Session>& session, uint64_t id,
-            const std::string& reason);
+  void Shed(Session& session, uint64_t id, const std::string& reason);
   /// The database requests execute against (the follower's current one
   /// when attached). Callers hold exec_mu_.
   Database* CurrentDb();
@@ -198,7 +186,6 @@ class Server {
   std::atomic<bool> stop_{false};
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
 
   /// Serializes request execution (and follower database swaps).
   std::mutex exec_mu_;
@@ -210,10 +197,6 @@ class Server {
   std::map<uint64_t, std::shared_ptr<Session>> sessions_;
   std::vector<std::thread> finished_readers_;  // joined by the accept loop
   uint64_t next_session_id_ = 1;
-
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Request> queue_;
 
   /// The counters stats() reports.
   obs::Gauge* m_connections_;

@@ -137,8 +137,8 @@ class Span {
   }
 
   // Adopts an explicit parent context instead of the thread-local stack —
-  // the hand-off for work executing on a different thread (the server's
-  // worker pool) or for a remote caller's wire context. An invalid
+  // the hand-off for work executing on a different thread or for a remote
+  // caller's wire context (the server's net.request span). An invalid
   // context degrades to the normal root/stack behaviour, so callers can
   // pass whatever they received without checking.
   Span(Tracer* tracer, const char* name, const TraceContext& parent,

@@ -1,5 +1,7 @@
 #include "persist/value_codec.h"
 
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -102,13 +104,19 @@ class Decoder {
   }
 
   Result<int64_t> ParseInt() {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(Peek())) != 0) ++pos_;
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return ParseError("expected integer at offset " + std::to_string(start));
+    const char* first = text_.data() + pos_;
+    int64_t v = 0;
+    const auto [stop, ec] =
+        std::from_chars(first, text_.data() + text_.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      return ParseError("integer out of range at offset " +
+                        std::to_string(pos_));
     }
-    return std::strtoll(text_.c_str() + start, nullptr, 10);
+    if (ec != std::errc()) {
+      return ParseError("expected integer at offset " + std::to_string(pos_));
+    }
+    pos_ += static_cast<size_t>(stop - first);
+    return v;
   }
 
   Result<Value> ParseValue() {
@@ -123,9 +131,14 @@ class Decoder {
              text_[pos_] != ']') {
         ++pos_;
       }
+      // strtod skips leading blanks and stops at junk; the whole token up
+      // to the delimiter must be the number ("r:1.5abc" is an error).
+      const char* first = text_.c_str() + start;
       char* end = nullptr;
-      double v = std::strtod(text_.c_str() + start, &end);
-      if (end == text_.c_str() + start) {
+      double v = std::strtod(first, &end);
+      if (pos_ == start ||
+          std::isspace(static_cast<unsigned char>(*first)) != 0 ||
+          end != text_.c_str() + pos_) {
         return ParseError("expected real at offset " + std::to_string(start));
       }
       return Value::Real(v);

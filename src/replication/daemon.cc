@@ -104,8 +104,9 @@ AutoPollerStats AutoPoller::stats() const {
 void AutoPoller::Loop() {
   while (true) {
     Result<PollResult> polled = [this] {
-      // The swap barrier: while execution is paused no server worker holds
-      // a pointer into the database an applying poll is about to replace.
+      // The swap barrier: while execution is paused no session reader
+      // holds a pointer into the database an applying poll is about to
+      // replace.
       if (pause_execution_) {
         std::unique_lock<std::mutex> exec = pause_execution_();
         return follower_->Poll();

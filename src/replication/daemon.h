@@ -75,7 +75,7 @@ struct AutoPollerStats {
 /// interval, replacing the shell's manual `replica poll`. When the follower
 /// is served by a net::Server, wire the server's PauseExecution through
 /// `pause_execution` — every applying poll replaces the follower's Database
-/// wholesale, and the swap must not free an instance a server worker is
+/// wholesale, and the swap must not free an instance a session reader is
 /// reading. A quarantined follower keeps ticking (and counting failures)
 /// so an operator reseed resumes automatically.
 class AutoPoller {

@@ -509,8 +509,6 @@ Status ServerStatus(const net::Server* server, bool json, std::ostream& out) {
     w.Field("sessions_active", static_cast<uint64_t>(stats.sessions_active));
     w.Field("connections_accepted", stats.connections_accepted);
     w.Field("connections_rejected", stats.connections_rejected);
-    w.Field("queue_depth", static_cast<uint64_t>(stats.queue_depth));
-    w.Field("queue_capacity", static_cast<uint64_t>(stats.queue_capacity));
     w.Field("requests", stats.requests);
     w.Field("sheds", stats.sheds);
     w.Field("protocol_errors", stats.protocol_errors);
@@ -527,7 +525,6 @@ Status ServerStatus(const net::Server* server, bool json, std::ostream& out) {
       w.Field("read_only", s.read_only);
       w.Field("requests", s.requests);
       w.Field("sheds", s.sheds);
-      w.Field("inflight", static_cast<uint64_t>(s.inflight));
       w.Field("requests_per_sec", s.requests_per_sec);
       w.Field("bytes_in_per_sec", s.bytes_in_per_sec);
       w.Field("bytes_out_per_sec", s.bytes_out_per_sec);
@@ -542,8 +539,7 @@ Status ServerStatus(const net::Server* server, bool json, std::ostream& out) {
   out << "sessions:   " << stats.sessions_active << " active ("
       << stats.connections_accepted << " accepted, "
       << stats.connections_rejected << " rejected)\n";
-  out << "queue:      " << stats.queue_depth << "/" << stats.queue_capacity
-      << " queued, " << stats.requests << " request(s), " << stats.sheds
+  out << "requests:   " << stats.requests << " request(s), " << stats.sheds
       << " shed(s)\n";
   out << "transport:  " << stats.bytes_in << " bytes in, " << stats.bytes_out
       << " bytes out, " << stats.protocol_errors << " protocol error(s), "
@@ -553,8 +549,8 @@ Status ServerStatus(const net::Server* server, bool json, std::ostream& out) {
     std::snprintf(rate, sizeof(rate), "%.1f", s.requests_per_sec);
     out << "  #" << s.id << " " << s.peer << " ns=" << s.ns
         << (s.read_only ? " read-only" : " writable") << " " << s.requests
-        << " request(s), " << s.sheds << " shed(s), " << s.inflight
-        << " in flight, " << rate << " req/s\n";
+        << " request(s), " << s.sheds << " shed(s), " << rate
+        << " req/s\n";
   }
   return OkStatus();
 }

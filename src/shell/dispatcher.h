@@ -94,7 +94,7 @@ namespace shell {
 ///   checkpoint            snapshot + truncate the log (durable only)
 ///   storage status [--format=json]   paged-store/buffer-pool telemetry
 ///   server status [--format=json]    network listener telemetry (sessions,
-///       queue depth, sheds, bytes) — needs an attached net::Server
+///       requests, sheds, bytes) — needs an attached net::Server
 ///   ship [<replica-dir>]  ship checkpoint + log to a replica directory
 ///       (the directory sticks after the first use; plain `ship` re-ships)
 ///   replica status [--format=json]   replication state of this database

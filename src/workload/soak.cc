@@ -268,7 +268,7 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
                            net::Server::Start(primary.get(), server_options));
   }
   // Serializes the mutator's direct Database calls against the server's
-  // worker pool; a no-op lock when no server runs.
+  // session readers; a no-op lock when no server runs.
   std::mutex no_server_mu;
   auto pause = [&]() {
     return server != nullptr ? server->PauseExecution()

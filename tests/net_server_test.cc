@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -259,188 +256,137 @@ TEST(NetServerTest, AdmissionControlRejectsBeyondMaxConnections) {
   EXPECT_TRUE(admitted);
 }
 
-TEST(NetServerTest, BackpressureShedsInBoundedTimeWithoutDeadlock) {
-  Database db;
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<int> entered{0};
-  ServerOptions options;
-  options.worker_threads = 1;
-  options.queue_capacity = 2;
-  options.session_inflight_cap = 100;
-  options.worker_hook_for_test = [&] {
-    entered.fetch_add(1);
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
-  auto server = MustStart(&db, std::move(options));
+/// A raw framed session past its hello, so a test can pipeline requests
+/// (the Client keeps one in flight).
+class RawSession {
+ public:
+  explicit RawSession(const Server& server) {
+    auto sock = ConnectTcp("127.0.0.1", server.port());
+    if (!sock.ok()) {
+      ADD_FAILURE() << sock.status().ToString();
+      return;
+    }
+    sock_ = std::move(*sock);
+    Send(EncodeFrame(FrameType::kHello,
+                     EncodeHelloPayload(SessionRole::kDefault, "")));
+    EXPECT_EQ(Read().type, FrameType::kHelloOk);
+  }
 
-  // Raw framed session so requests can be pipelined.
-  auto sock = ConnectTcp("127.0.0.1", server->port());
-  ASSERT_TRUE(sock.ok());
-  const std::string hello = EncodeFrame(
-      FrameType::kHello, EncodeHelloPayload(SessionRole::kDefault, ""));
-  ASSERT_TRUE(sock->SendAll(hello.data(), hello.size()).ok());
-  FrameDecoder decoder;
-  char buf[4096];
-  auto read_frame = [&]() -> Frame {
+  void Send(const std::string& bytes) {
+    ASSERT_TRUE(sock_.SendAll(bytes.data(), bytes.size()).ok());
+  }
+
+  /// The next frame; a kGoodbye stands in for EOF.
+  Frame Read() {
     Frame frame;
-    while (!decoder.Next(&frame)) {
-      Result<size_t> n = sock->Recv(buf, sizeof(buf));
-      EXPECT_TRUE(n.ok() && *n > 0) << "connection died";
-      EXPECT_TRUE(decoder.Feed(buf, *n).ok());
+    while (!decoder_.Next(&frame)) {
+      Result<size_t> n = sock_.Recv(buf_, sizeof(buf_));
+      if (!n.ok() || *n == 0) return Frame{FrameType::kGoodbye, ""};
+      EXPECT_TRUE(decoder_.Feed(buf_, *n).ok());
     }
     return frame;
-  };
-  EXPECT_EQ(read_frame().type, FrameType::kHelloOk);
+  }
 
-  // Park the worker on the first request before bursting the rest —
-  // otherwise whether 2 or 3 requests get in depends on dequeue timing.
-  const int kBurst = 10;
-  const std::string first =
-      EncodeFrame(FrameType::kRequest, EncodeRequestPayload(1, "echo hi"));
-  ASSERT_TRUE(sock->SendAll(first.data(), first.size()).ok());
-  for (int i = 0; i < 5000 && entered.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(entered.load(), 1);
-  // Burst the other 9 at the blocked worker's 2-deep queue: 2 enqueue, the
-  // other 7 must come back as sheds while the worker is still blocked —
-  // bounded-latency backpressure, not buffering.
-  for (int i = 1; i < kBurst; ++i) {
-    const std::string frame = EncodeFrame(
+ private:
+  Socket sock_;
+  FrameDecoder decoder_;
+  char buf_[4096];
+};
+
+/// k = 1..pairs pipelined `set @1 W i:k` / `get @1 W` pairs in one
+/// buffer, request ids 1..2*pairs.
+std::string SetGetPairs(int pairs) {
+  std::string batch;
+  for (int k = 1; k <= pairs; ++k) {
+    batch += EncodeFrame(
         FrameType::kRequest,
-        EncodeRequestPayload(static_cast<uint64_t>(i + 1), "echo hi"));
-    ASSERT_TRUE(sock->SendAll(frame.data(), frame.size()).ok());
+        EncodeRequestPayload(static_cast<uint64_t>(2 * k - 1),
+                             "set @1 W i:" + std::to_string(k)));
+    batch += EncodeFrame(
+        FrameType::kRequest,
+        EncodeRequestPayload(static_cast<uint64_t>(2 * k), "get @1 W"));
   }
-  int sheds = 0;
-  while (sheds < kBurst - 3) {
-    Frame frame = read_frame();
-    ASSERT_EQ(frame.type, FrameType::kShed);
-    ++sheds;
-  }
-  EXPECT_EQ(entered.load(), 1);  // worker still parked on the first request
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  int responses = 0;
-  while (responses < 3) {
-    Frame frame = read_frame();
-    ASSERT_EQ(frame.type, FrameType::kResponse);
-    ++responses;
-  }
-  ServerStats stats = server->stats();
-  EXPECT_EQ(stats.sheds, static_cast<uint64_t>(kBurst - 3));
-  EXPECT_EQ(stats.requests, 3u);
+  return batch;
 }
 
-TEST(NetServerTest, SessionInflightCapShedsGreedyPipeliners) {
+/// Polls until the server has read `bytes` from its clients.
+void AwaitBytesIn(const Server& server, uint64_t bytes) {
+  for (int i = 0; i < 5000 && server.stats().bytes_in < bytes; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().bytes_in, bytes);
+}
+
+TEST(NetServerTest, PipelinedRequestsExecuteInOrder) {
   Database db;
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  ServerOptions options;
-  options.worker_threads = 1;
-  options.queue_capacity = 100;
-  options.session_inflight_cap = 2;
-  options.worker_hook_for_test = [&] {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
-  auto server = MustStart(&db, std::move(options));
-  auto sock = ConnectTcp("127.0.0.1", server->port());
-  ASSERT_TRUE(sock.ok());
-  const std::string hello = EncodeFrame(
-      FrameType::kHello, EncodeHelloPayload(SessionRole::kDefault, ""));
-  ASSERT_TRUE(sock->SendAll(hello.data(), hello.size()).ok());
-  FrameDecoder decoder;
-  char buf[4096];
-  auto read_frame = [&]() -> Frame {
-    Frame frame;
-    while (!decoder.Next(&frame)) {
-      Result<size_t> n = sock->Recv(buf, sizeof(buf));
-      EXPECT_TRUE(n.ok() && *n > 0);
-      EXPECT_TRUE(decoder.Feed(buf, *n).ok());
+  ASSERT_TRUE(db.ExecuteDdl(kBoxDdl).ok());
+  ASSERT_TRUE(db.CreateObject("Box", "").ok());
+  auto server = MustStart(&db);
+  RawSession session(*server);
+  constexpr int kPairs = 20;
+  {
+    // The whole pipeline reaches the reader while execution is held, so
+    // it runs as one decoded batch once the pause ends.
+    auto paused = server->PauseExecution();
+    const uint64_t before = server->stats().bytes_in;
+    const std::string batch = SetGetPairs(kPairs);
+    session.Send(batch);
+    AwaitBytesIn(*server, before + batch.size());
+  }
+  for (int k = 1; k <= kPairs; ++k) {
+    for (const uint64_t want : {uint64_t(2 * k - 1), uint64_t(2 * k)}) {
+      Frame frame = session.Read();
+      ASSERT_EQ(frame.type, FrameType::kResponse) << "request " << want;
+      uint64_t id = 0;
+      bool error = true;
+      std::string output;
+      ASSERT_TRUE(
+          DecodeResponsePayload(frame.payload, &id, &error, &output).ok());
+      EXPECT_EQ(id, want);
+      EXPECT_FALSE(error) << output;
+      // Each get reads back the set just before it.
+      EXPECT_EQ(output, want % 2 == 0 ? std::to_string(k) + "\n" : "ok\n");
     }
-    return frame;
-  };
-  EXPECT_EQ(read_frame().type, FrameType::kHelloOk);
-  for (int i = 0; i < 5; ++i) {
-    const std::string frame = EncodeFrame(
-        FrameType::kRequest,
-        EncodeRequestPayload(static_cast<uint64_t>(i + 1), "echo hi"));
-    ASSERT_TRUE(sock->SendAll(frame.data(), frame.size()).ok());
   }
-  int sheds = 0;
-  while (sheds < 3) {
-    Frame frame = read_frame();
-    ASSERT_EQ(frame.type, FrameType::kShed);
-    uint64_t id = 0;
-    std::string reason;
-    ASSERT_TRUE(DecodeShedPayload(frame.payload, &id, &reason).ok());
-    EXPECT_NE(reason.find("session cap"), std::string::npos);
-    ++sheds;
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  int responses = 0;
-  while (responses < 2) {
-    Frame frame = read_frame();
-    ASSERT_EQ(frame.type, FrameType::kResponse);
-    ++responses;
-  }
+  EXPECT_EQ(server->stats().requests, 2u * kPairs);
+  EXPECT_EQ(server->stats().sheds, 0u);
 }
 
-TEST(NetServerTest, ShutdownDrainsQueuedRequestsWithoutHanging) {
+TEST(NetServerTest, ShutdownWhilePausedAnswersEveryDecodedRequest) {
   Database db;
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<int> entered{0};
-  ServerOptions options;
-  options.worker_threads = 1;
-  options.queue_capacity = 8;
-  options.session_inflight_cap = 100;
-  options.worker_hook_for_test = [&] {
-    entered.fetch_add(1);
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
-  auto server = MustStart(&db, std::move(options));
-  auto sock = ConnectTcp("127.0.0.1", server->port());
-  ASSERT_TRUE(sock.ok());
-  const std::string hello = EncodeFrame(
-      FrameType::kHello, EncodeHelloPayload(SessionRole::kDefault, ""));
-  ASSERT_TRUE(sock->SendAll(hello.data(), hello.size()).ok());
-  // Four pipelined requests: one enters the (blocked) worker, three sit in
-  // the queue holding inflight counts.
-  for (int i = 0; i < 4; ++i) {
-    const std::string frame = EncodeFrame(
-        FrameType::kRequest,
-        EncodeRequestPayload(static_cast<uint64_t>(i + 1), "echo hi"));
-    ASSERT_TRUE(sock->SendAll(frame.data(), frame.size()).ok());
-  }
-  for (int i = 0; i < 5000 && entered.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(entered.load(), 1);
-  // Shut down with requests still queued. The worker exits on stop_ without
-  // running them, so Shutdown must drop their inflight counts itself —
-  // otherwise the reader's inflight drain (and this join) never finishes.
-  std::thread shutdown_thread([&] { server->Shutdown(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(db.ExecuteDdl(kBoxDdl).ok());
+  ASSERT_TRUE(db.CreateObject("Box", "").ok());
+  auto server = MustStart(&db);
+  RawSession session(*server);
+  constexpr int kPairs = 20;
+  std::thread shutdown_thread;
   {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
+    auto paused = server->PauseExecution();
+    const uint64_t before = server->stats().bytes_in;
+    const std::string batch = SetGetPairs(kPairs);
+    session.Send(batch);
+    AwaitBytesIn(*server, before + batch.size());
+    // The reader is parked on the execution lock with all 40 requests
+    // decoded; Shutdown cannot finish until the pause ends.
+    shutdown_thread = std::thread([&] { server->Shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  gate_cv.notify_all();
   shutdown_thread.join();
+  // Every decoded request was either executed or shed; none is lost. The
+  // frames that still reach the client are responses or shutdown sheds.
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.requests + stats.sheds, 2u * kPairs);
+  for (Frame frame = session.Read(); frame.type != FrameType::kGoodbye;
+       frame = session.Read()) {
+    if (frame.type == FrameType::kShed) {
+      uint64_t id = 0;
+      std::string reason;
+      ASSERT_TRUE(DecodeShedPayload(frame.payload, &id, &reason).ok());
+      EXPECT_EQ(reason, "server shutting down");
+    } else {
+      EXPECT_EQ(frame.type, FrameType::kResponse);
+    }
+  }
 }
 
 TEST(NetServerTest, RequestBeforeHelloIsAProtocolError) {
@@ -528,6 +474,18 @@ TEST(NetServerTest, HttpScrapeServesPrometheusText) {
       Client::HttpGet("127.0.0.1", server->port(), "/healthz").ok());
   EXPECT_FALSE(
       Client::HttpGet("127.0.0.1", server->port(), "/nope").ok());
+  EXPECT_TRUE(
+      Client::HttpGet("127.0.0.1", server->port(), "/vars?window=500").ok());
+  // A malformed or overflowing window is a 400, not a silently wrapped
+  // number.
+  for (const char* bad : {"/vars?window=", "/vars?window=12x",
+                          "/vars?window=-5",
+                          "/vars?window=99999999999999999999999"}) {
+    auto refused = Client::HttpGet("127.0.0.1", server->port(), bad);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_NE(refused.status().ToString().find("400"), std::string::npos)
+        << bad << ": " << refused.status().ToString();
+  }
   EXPECT_GE(server->stats().scrapes, 1u);
 }
 
@@ -541,7 +499,8 @@ TEST(NetServerTest, ServerStatusOverTheWire) {
   EXPECT_NE(text.find("sessions:"), std::string::npos);
   const std::string json = Ok(client.get(), "server status --format=json");
   EXPECT_NE(json.find("\"sessions_active\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"queue_capacity\":128"), std::string::npos);
+  EXPECT_NE(json.find("\"requests\":2,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("queue"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sessions\":["), std::string::npos);
 }
 

@@ -203,7 +203,7 @@ TEST(TracePropagation, ClientRootLinksServerRequestSpan) {
   EXPECT_EQ(request->trace_id, execute->trace_id);
   EXPECT_EQ(request->parent_id, execute->id)
       << "the server span must parent on the client's span id across "
-         "processes, queue hand-off included";
+         "processes";
   EXPECT_EQ(request->id, server_ctx.parent_span_id);
   (*client)->Close();
 }

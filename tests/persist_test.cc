@@ -28,7 +28,8 @@ INSTANTIATE_TEST_SUITE_P(
     Values, ValueCodecTest,
     ::testing::Values(
         Value::Null(), Value::Int(0), Value::Int(-42),
-        Value::Int(9223372036854775807LL), Value::Real(3.5),
+        Value::Int(9223372036854775807LL),
+        Value::Int(-9223372036854775807LL - 1), Value::Real(3.5),
         Value::Real(-0.125), Value::Bool(true), Value::Bool(false),
         Value::String(""), Value::String("plain"),
         Value::String("with \"quotes\" and \\slashes\\ and\nnewlines\t!"),
@@ -48,7 +49,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ValueCodecTest, MalformedInputsRejected) {
   for (const char* bad :
        {"", "x", "i:", "i:abc", "b:2", "s:\"unterminated", "R{X=}",
-        "L[i:1;", "M[2,2][i:1]", "@", "e:", "i:1 trailing"}) {
+        "L[i:1;", "M[2,2][i:1]", "@", "e:", "i:1 trailing", "r:",
+        "r:1.5abc", "r: 1.5", "L[r:2x;i:1]", "i:99999999999999999999999",
+        "i:-9223372036854775809", "i:-", "@99999999999999999999"}) {
     EXPECT_FALSE(DecodeValue(bad).ok()) << bad;
   }
 }

@@ -92,7 +92,8 @@ TEST(ShellTest, ErrorsAreReportedInlineAndCounted) {
         "expand @1 2147483648", "trace threshold 5ms", "trace threshold -5",
         "log tail -1", "metrics --watch --window=-5", "get @1 W extra junk",
         "checkpoint now", "select Box where", "delete @1 detach-all",
-        "fault disarm --all now", "quit now", "cache on", "cache off"}) {
+        "fault disarm --all now", "quit now", "cache on", "cache off",
+        "set @1 W i:99999999999999999999999", "set @1 W i:4x"}) {
     const size_t before = shell.error_count();
     std::ostringstream probe;
     EXPECT_TRUE(shell.ExecuteLine(line, probe)) << line;
@@ -524,7 +525,7 @@ TEST(ShellNetTest, ServerStatusNeedsAnAttachedServer) {
   EXPECT_EQ(errors, 1u);
 }
 
-TEST(ShellNetTest, ServerStatusReportsListenerQueueAndSessions) {
+TEST(ShellNetTest, ServerStatusReportsListenerRequestsAndSessions) {
   Database db;
   auto server = net::Server::Start(&db);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -546,6 +547,9 @@ TEST(ShellNetTest, ServerStatusReportsListenerQueueAndSessions) {
   const std::string text = out.str();
   EXPECT_NE(text.find("listening:  127.0.0.1:"), std::string::npos) << text;
   EXPECT_NE(text.find("sessions:   1 active (1 accepted, 0 rejected)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("requests:   1 request(s), 0 shed(s)"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("ns= writable"), std::string::npos) << text;
